@@ -30,7 +30,7 @@ trace = predict(
     candidates,
     SamplerConfig(hops=2, layer_budget=8, anchor_k=10, rng_seed=0),
     PromptConfig(),
-    ScorerBackendConfig(kind="lexical_overlap", max_in_flight=1),
+    ScorerBackendConfig(kind="lexical_overlap"),
     DncConfig(length_limit=3, grouping="random_seeded", rng_seed=0),
 )
 

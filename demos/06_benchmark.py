@@ -30,9 +30,9 @@ tasks = [
 print(f"{len(tasks)} tasks, 6 candidates each\n")
 
 backends = [
-    ("fixed_index(0)", ScorerBackendConfig(kind="fixed_index", fixed_index=0, max_in_flight=1)),
-    ("lexical_overlap", ScorerBackendConfig(kind="lexical_overlap", max_in_flight=1)),
-    ("oracle_truth", ScorerBackendConfig(kind="oracle_truth", max_in_flight=1)),
+    ("fixed_index(0)", ScorerBackendConfig(kind="fixed_index", fixed_index=0)),
+    ("lexical_overlap", ScorerBackendConfig(kind="lexical_overlap")),
+    ("oracle_truth", ScorerBackendConfig(kind="oracle_truth")),
 ]
 for name, scorer_cfg in backends:
     report = run_benchmark(

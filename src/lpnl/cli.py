@@ -29,7 +29,7 @@ from .prompts import (
     build_prompt,
     parse_prompt,
 )
-from .sampling import SamplerConfig, top_k_anchors
+from .sampling import SamplerConfig, anchors_for, top_k_anchors
 from .scoring import ScorerBackendConfig, ScorerRequest, make_scorer
 from .tournament import DncConfig, PredictionAborted, partition, predict
 
@@ -173,13 +173,6 @@ def _bundle_record(bundle: PromptBundle, g: HetGraph, relation: str) -> dict:
     }
 
 
-def _anchors_for(g, source, candidates, sampler_cfg, mask=None):
-    anchors = {source: top_k_anchors(g, source, sampler_cfg, mask)}
-    for c in candidates:
-        anchors[c] = top_k_anchors(g, c, sampler_cfg, mask)
-    return anchors
-
-
 def _cmd_prompt(args, config: dict) -> int:
     g = _load_graph(config, args)
     sampler_cfg = _sampler_config(config, args)
@@ -190,7 +183,7 @@ def _cmd_prompt(args, config: dict) -> int:
         source = g.id_of(record["source_id"])
         candidates = [g.id_of(c) for c in record["candidate_ids"]]
         relation = record["relation"]
-        anchors = _anchors_for(g, source, candidates, sampler_cfg)
+        anchors = anchors_for(g, (source, *candidates), sampler_cfg)
         try:
             bundle = build_prompt(source, relation, candidates, anchors, g, prompt_cfg)
         except BudgetUnsatisfiableError as exc:
@@ -230,7 +223,7 @@ def _cmd_score(args, config: dict) -> int:
         if "error" in record:
             continue
         bundle = _rebuild_bundle(record, g)
-        response = scorer.score(ScorerRequest.from_bundle(bundle))
+        response = scorer.score(ScorerRequest(bundle))
         out.write(
             json.dumps(
                 {
@@ -279,7 +272,7 @@ def _cmd_predict(args, config: dict) -> int:
         candidates = [g.id_of(c) for c in record["candidate_ids"]]
         relation = record["relation"]
         if args.dry_run:
-            anchors = _anchors_for(g, source, candidates, sampler_cfg)
+            anchors = anchors_for(g, (source, *candidates), sampler_cfg)
             sets = partition(
                 candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
             )

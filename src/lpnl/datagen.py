@@ -11,7 +11,9 @@ While masking is on, the truth node is also withheld from the *source's*
 rendered anchor list: the masked edge already keeps it out of direct
 reach, but on dense graphs the truth can survive into the source's top-k
 through other paths, and a training input that names its own answer
-defeats the point. :func:`leakage_audit` enforces exactly this.
+defeats the point. So is any other anchor that renders like the truth
+(same text, same identifier tag): a twin reads exactly like the answer.
+:func:`leakage_audit` enforces exactly this.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .graph import EdgeMask, HetGraph
 from .prompts import PromptConfig, build_prompt, parse_prompt
-from .sampling import AnchorList, SamplerConfig, top_k_anchors
+from .sampling import SamplerConfig, anchors_for
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +113,11 @@ def _split_of(value: float, boundaries: tuple[float, float]) -> str:
     if value < valid_upto:
         return "valid"
     return "test"
+
+
+def _rendered_as(g: HetGraph, v: int) -> tuple[str, str]:
+    """What a prompt shows of ``v``: its text and identifier tag."""
+    return g.text(v), g.type_of(v).identifier_tag
 
 
 def _true_neighbors(g: HetGraph, source: int, relation: str) -> set[int]:
@@ -236,16 +243,15 @@ def generate_examples(
         candidates = list(negatives)
         candidates.insert(position, truth)
 
-        anchors: dict[int, AnchorList] = {}
-        source_anchors = top_k_anchors(g, source, sampler_cfg, active_mask)
+        anchors = anchors_for(g, (source, *candidates), sampler_cfg, active_mask)
         if mask_edges:
-            source_anchors = replace(
-                source_anchors,
-                entries=tuple(e for e in source_anchors.entries if e[0] != truth),
+            truth_look = _rendered_as(g, truth)
+            anchors[source] = replace(
+                anchors[source],
+                entries=tuple(
+                    e for e in anchors[source].entries if _rendered_as(g, e[0]) != truth_look
+                ),
             )
-        anchors[source] = source_anchors
-        for c in candidates:
-            anchors[c] = top_k_anchors(g, c, sampler_cfg, active_mask)
 
         bundle = build_prompt(source, relation, candidates, anchors, g, prompt_cfg)
         alias = bundle.candidate_aliases[position]

@@ -161,9 +161,12 @@ def run_benchmark(
     of the run replaces the sampler's and the tournament's ``rng_seed``
     so repeated seeds measure pipeline variance, not scorer variance.
     An ``oracle_truth`` scorer config is completed with the tasks' own
-    ground truth when no truth pairs were supplied. Tasks run concurrently
-    up to the backend's in-flight ceiling, sharing one backend instance;
-    results are reduced in task order, so reports stay reproducible.
+    ground truth when no truth pairs were supplied.
+
+    All tasks share one backend instance. Against ``http_llm``, which waits
+    on I/O, one thread pool per call fans tasks out to ``max_in_flight``
+    workers; the CPU-bound offline backends ignore it and run inline.
+    Results are reduced in task order, so reports stay reproducible.
     """
     sampler_cfg = sampler_cfg or SamplerConfig()
     prompt_cfg = prompt_cfg or PromptConfig()
@@ -180,9 +183,10 @@ def run_benchmark(
             truth_pairs=frozenset((t.source_id, t.truth_id) for t in tasks),
         )
     # one backend for the whole run: its in-flight ceiling, connection pool
-    # and cache are global across concurrent tasks
+    # and cache are global across concurrent tasks; offline backends have
+    # no ceiling and get one worker
     scorer = make_scorer(scorer_cfg)
-    workers = min(scorer.max_in_flight, len(tasks))
+    workers = min(getattr(scorer, "max_in_flight", 1), len(tasks))
 
     def run_task(args: tuple[int, int, SamplerConfig, DncConfig]) -> tuple[int, int, dict | None, dict | None]:
         seed, task_index, seeded_sampler, seeded_dnc = args

@@ -325,8 +325,10 @@ class HetGraph:
 
     def edges_of_type(self, t: EdgeType | str) -> list[tuple[int, int]]:
         """Stored (source, target) pairs of one edge type, in sorted order."""
-        et = self.edge_type(t)
-        return sorted(self._edge_pairs[et.name])
+        adj = self._adj[self.edge_type(t).name]
+        # CSR rows hold each source's targets in ascending order
+        sources = np.repeat(np.arange(len(self.keys)), np.diff(adj.fwd_indptr))
+        return list(zip(sources.tolist(), adj.fwd_indices.tolist()))
 
     def summary(self) -> dict:
         node_counts: dict[str, int] = {name: 0 for name in self.node_types}

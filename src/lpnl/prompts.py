@@ -81,7 +81,6 @@ class PromptConfig:
     token_estimator: str | Callable[[str], int] = "chars_div_4"
     question_templates: Mapping[str, str] = field(default_factory=dict)
     anchor_separator: str = ", "
-    segment_separator: str = "\n"
 
     def __post_init__(self):
         if self.token_budget < 64:
@@ -91,10 +90,7 @@ class PromptConfig:
             "whitespace",
         ):
             raise ValueError(f"unknown token estimator {self.token_estimator!r}")
-        if self.segment_separator != "\n":
-            # normalization strips newlines from node text, so the newline is
-            # the one separator that keeps prompts parseable back into segments
-            raise ValueError("segment_separator must be a single newline")
+        # newlines separate prompt segments; normalization strips them from node text
         if "\n" in self.anchor_separator:
             raise ValueError("anchor_separator must not contain newlines")
         for name, template in self.question_templates.items():
@@ -263,7 +259,7 @@ def _render_prompt(
             g, c, anchor_source[c], candidate_anchors, cfg, aliases
         )
         cand_descs.append(desc)
-    text = cfg.segment_separator.join([question, source_desc, *cand_descs])
+    text = "\n".join([question, source_desc, *cand_descs])
     return PromptBundle(
         text=text,
         token_count=estimate_tokens(text, cfg),
@@ -357,13 +353,13 @@ def _own_text(segment: str) -> str:
     return head
 
 
-def parse_prompt(text: str, segment_separator: str = "\n") -> ParsedPrompt:
+def parse_prompt(text: str) -> ParsedPrompt:
     """Split a rendered prompt back into its three segment kinds.
 
     Inverse of the rendering grammar: first line question, second line
     source description, one candidate description per remaining line.
     """
-    lines = text.split(segment_separator)
+    lines = text.split("\n")
     if len(lines) < 3:
         raise ValueError("prompt must have question, source and >= 1 candidate lines")
     return ParsedPrompt(

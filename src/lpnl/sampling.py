@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "ppr_exact",
     "ppr_approx",
     "top_k_anchors",
+    "anchors_for",
 ]
 
 PPR_MODES = ("exact_power_iteration", "approximate_push")
@@ -359,3 +360,13 @@ def top_k_anchors(
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     entries = tuple((v, float(s)) for v, s in ranked[: cfg.anchor_k])
     return AnchorList(center=center, entries=entries, center_score=float(center_score))
+
+
+def anchors_for(
+    g: HetGraph,
+    nodes: Iterable[int],
+    cfg: SamplerConfig,
+    mask: EdgeMask | None = None,
+) -> dict[int, AnchorList]:
+    """Anchor lists for every node of a task, keyed by node, in the given order."""
+    return {v: top_k_anchors(g, v, cfg, mask) for v in nodes}

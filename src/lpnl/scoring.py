@@ -67,17 +67,6 @@ class TransportError(ScorerError):
 @dataclass(frozen=True)
 class ScorerRequest:
     bundle: PromptBundle
-    candidate_order: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.candidate_order:
-            raise ValueError("candidate_order must be non-empty")
-        if tuple(self.candidate_order) != tuple(self.bundle.candidate_order):
-            raise ValueError("candidate_order does not match the prompt bundle")
-
-    @classmethod
-    def from_bundle(cls, bundle: PromptBundle) -> "ScorerRequest":
-        return cls(bundle=bundle, candidate_order=tuple(bundle.candidate_order))
 
 
 @dataclass(frozen=True)
@@ -93,6 +82,9 @@ class ScorerBackendConfig:
 
     Credentials are never stored here — only the *name* of the environment
     variable that holds the API key.
+
+    ``max_in_flight`` is the ``http_llm`` request ceiling and the eval task
+    fan-out width; the CPU-bound offline backends ignore it.
     """
 
     kind: str = "lexical_overlap"
@@ -240,10 +232,9 @@ class FixedIndexScorer:
 
     def __init__(self, cfg: ScorerBackendConfig):
         self.index = cfg.fixed_index
-        self.max_in_flight = cfg.max_in_flight
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
-        order = request.candidate_order
+        order = request.bundle.candidate_order
         idx = min(max(self.index, 0), len(order) - 1)
         alias = request.bundle.candidate_aliases[idx]
         return ScorerResponse(
@@ -262,14 +253,13 @@ class OracleTruthScorer:
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
-        self.max_in_flight = cfg.max_in_flight
         self._truths: dict[int, set[int]] = {}
         for s, t in cfg.truth_pairs:
             self._truths.setdefault(s, set()).add(t)
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
         true_neighbors = self._truths.get(request.bundle.source, set())
-        for i, c in enumerate(request.candidate_order):
+        for i, c in enumerate(request.bundle.candidate_order):
             if c in true_neighbors:
                 alias = request.bundle.candidate_aliases[i]
                 return ScorerResponse(
@@ -278,7 +268,7 @@ class OracleTruthScorer:
                     resolution=RESOLUTION_EXACT,
                 )
         return ScorerResponse(
-            chosen=request.candidate_order[0],
+            chosen=request.bundle.candidate_order[0],
             raw_output="",
             resolution=RESOLUTION_FALLBACK,
         )
@@ -292,7 +282,7 @@ class LexicalOverlapScorer:
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
-        self.max_in_flight = cfg.max_in_flight
+        pass  # stateless: nothing in the config shapes its answers
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
         parsed = parse_prompt(request.bundle.text)
@@ -304,7 +294,7 @@ class LexicalOverlapScorer:
             if overlap > best_overlap:
                 best_overlap = overlap
                 best_i = i
-        chosen = request.candidate_order[best_i]
+        chosen = request.bundle.candidate_order[best_i]
         alias = request.bundle.candidate_aliases[best_i]
         return ScorerResponse(
             chosen=chosen,
@@ -319,7 +309,8 @@ class HttpLlmScorer:
     Sends ``{"model": ..., "prompt": ..., "max_output_tokens": ...}`` as
     JSON and reads the completion from the usual response shapes. Retries
     429/5xx and transport errors with exponential backoff; concurrent
-    callers are bounded by a semaphore sized ``max_in_flight``.
+    callers are bounded by a semaphore sized ``max_in_flight``, the one
+    backend attribute :func:`lpnl.evaluation.run_benchmark` fans out by.
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
@@ -356,7 +347,7 @@ class HttpLlmScorer:
         chosen = record.get("chosen_node_id")
         raw = record.get("raw_output", "")
         resolution = record.get("resolution", RESOLUTION_FALLBACK)
-        if chosen in request.candidate_order:
+        if chosen in request.bundle.candidate_order:
             return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
         chosen, resolution = resolve_output(raw, request.bundle)
         return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)

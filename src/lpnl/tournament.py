@@ -10,6 +10,9 @@ Anchors are computed once per node (source and each candidate) and
 reused across rounds, so the sampler cost is 1 + |candidates| regardless
 of how many rounds run.
 
+Sets are scored one after another; concurrency belongs to the caller
+(:func:`lpnl.evaluation.run_benchmark` fans whole tasks out).
+
 A full ranking of the original pool is derived from elimination order:
 the later a candidate is eliminated, the better its rank; ties within a
 round break by the candidate's retained PPR mass, then node id. This
@@ -20,7 +23,6 @@ winner — and is labeled as such wherever it is reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .graph import EdgeMask, EdgeType, HetGraph
 from .prompts import PromptConfig, build_prompt
-from .sampling import AnchorList, SamplerConfig, top_k_anchors
+from .sampling import SamplerConfig, anchors_for
 from .scoring import ScorerBackendConfig, ScorerError, ScorerRequest, make_scorer
 
 __all__ = [
@@ -147,9 +149,10 @@ def predict(
 
     Each round renders one prompt per set (reusing the per-node anchors
     computed up front) and asks the scorer for the set's winner; winners
-    re-partition sequentially until one remains. Sets within a round are
-    scored concurrently up to the scorer's in-flight ceiling. Any failure
-    aborts with the partial trace attached.
+    re-partition sequentially until one remains. Sets are scored one after
+    another, so a lone call against ``http_llm`` sends its requests
+    serially whatever ``max_in_flight`` says. Any failure aborts with the
+    partial trace attached.
 
     ``scorer_cfg`` may be a :class:`~lpnl.scoring.ScorerBackendConfig` or an
     already-built backend, so batch callers can share one instance.
@@ -161,42 +164,30 @@ def predict(
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidates contain duplicates")
 
-    anchors: dict[int, AnchorList] = {source: top_k_anchors(g, source, sampler_cfg, mask)}
-    for c in candidates:
-        anchors[c] = top_k_anchors(g, c, sampler_cfg, mask)
+    anchors = anchors_for(g, (source, *candidates), sampler_cfg, mask)
     tie_scores = {c: anchors[c].center_score for c in candidates}
 
     # an already-built backend may be passed in place of the config so many
     # predictions can share one connection pool, cache and in-flight ceiling
     scorer = scorer_cfg if hasattr(scorer_cfg, "score") else make_scorer(scorer_cfg)
-    workers = getattr(scorer, "max_in_flight", 1)
     rounds: list[Round] = []
     calls = 0
-    eliminated_in: dict[int, int] = {}
     pool = list(candidates)
-
-    def score_set(members: list[int]) -> int:
-        bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-        response = scorer.score(ScorerRequest.from_bundle(bundle))
-        if response.chosen not in members:
-            raise ScorerError(
-                f"backend chose {response.chosen}, which is not in the scored set"
-            )
-        return response.chosen
-
     while len(pool) > 1:
-        round_index = len(rounds) + 1
-        if round_index == 1:
+        if not rounds:
             sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
         else:
             sets = partition(pool, dnc_cfg.length_limit, "sequential")
         winners: list[int] = []
         try:
-            if workers > 1 and len(sets) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                    winners = list(pool_exec.map(score_set, sets))
-            else:
-                winners = [score_set(members) for members in sets]
+            for members in sets:
+                bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
+                response = scorer.score(ScorerRequest(bundle))
+                if response.chosen not in members:
+                    raise ScorerError(
+                        f"backend chose {response.chosen}, which is not in the scored set"
+                    )
+                winners.append(response.chosen)
         except Exception as exc:
             partial = PredictionTrace(
                 source=source,
@@ -210,10 +201,6 @@ def predict(
             )
             raise PredictionAborted(f"set scoring failed: {exc}", partial) from exc
         calls += len(sets)
-        for members, winner in zip(sets, winners):
-            for c in members:
-                if c != winner:
-                    eliminated_in[c] = round_index
         rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
         pool = winners
 
@@ -227,7 +214,7 @@ def predict(
         scorer_calls=calls,
         tie_scores=tie_scores,
     )
-    return replace(trace, ranking=_rank(trace, eliminated_in))
+    return replace(trace, ranking=_rank(trace, _elimination_rounds(trace)))
 
 
 def _elimination_rounds(trace: PredictionTrace) -> dict[int, int]:

@@ -139,6 +139,29 @@ def test_leakage_audit_catches_unmasked_corpus():
     assert len(report.violations) > 0
 
 
+def test_same_text_twin_of_truth_is_withheld():
+    # p0 has two authors who share a name: whichever edge is masked, the
+    # other author reaches p0's anchors and renders exactly like the truth
+    node_types = [NodeType("paper", 0, "PA"), NodeType("author", 1, "AU")]
+    edge_types = [EdgeType("authored_by", "paper", "author")]
+    nodes = [
+        ("p0", "paper", "tidal moss survey"),
+        ("a0", "author", "nova kade"),
+        ("a1", "author", "nova kade"),
+    ]
+    edges = [("p0", "a0", "authored_by"), ("p0", "a1", "authored_by")]
+    for i in range(2, 6):
+        nodes += [(f"a{i}", "author", f"decoy author {i}"), (f"q{i}", "paper", f"other paper {i}")]
+        edges.append((f"q{i}", f"a{i}", "authored_by"))
+    g = HetGraph(node_types, edge_types, nodes, edges)
+    p0, a0, a1 = g.id_of("p0"), g.id_of("a0"), g.id_of("a1")
+    assert a1 in top_k_anchors(g, p0, FAST, EdgeMask([(p0, a0, "authored_by")])).ids()
+    cfg = DatagenConfig(relation="authored_by", num_examples=2, rng_seed=1)
+    corpus = list(generate_examples(g, cfg, FAST, PROMPT))
+    assert {e.truth_id for e in corpus} == {a0, a1}
+    assert leakage_audit(corpus, g).ok
+
+
 def test_leakage_audit_empty_corpus():
     g = helpers.authorship_graph(n_papers=10)
     report = leakage_audit([], g)

@@ -1,9 +1,15 @@
+import hashlib
+import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 import helpers
+import lpnl.evaluation
 from lpnl.evaluation import (
     EvalTask,
     metric_hits1,
@@ -198,20 +204,77 @@ def test_benchmark_records_per_task_failures():
     assert report.hits_at_1 == 1.0  # aggregate over the surviving task only
 
 
-def test_benchmark_concurrent_matches_serial():
+class _PromptKeyed(BaseHTTPRequestHandler):
+    """Answers with the alias of a candidate picked by a hash of the prompt
+    alone, so the answer cannot depend on request order or concurrency."""
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        candidate_lines = prompt.split("\n")[2:]
+        pick = hashlib.sha256(prompt.encode()).digest()[0] % len(candidate_lines)
+        body = json.dumps({"text": candidate_lines[pick].split(": ", 1)[0]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def prompt_keyed_url():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _PromptKeyed)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/complete"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_benchmark_concurrent_matches_serial(monkeypatch, prompt_keyed_url):
     g = helpers.authorship_graph(n_papers=60, seed=12)
     tasks = make_tasks(g, n_tasks=10, n_candidates=5, seed=9)
-    serial = run_benchmark(
-        tasks, g, FAST, PROMPT,
-        ScorerBackendConfig(kind="lexical_overlap", max_in_flight=1),
-        DncConfig(length_limit=3), seeds=(0, 1),
-    )
-    threaded = run_benchmark(
-        tasks, g, FAST, PROMPT,
-        ScorerBackendConfig(kind="lexical_overlap", max_in_flight=6),
-        DncConfig(length_limit=3), seeds=(0, 1),
-    )
-    assert serial.to_json() == threaded.to_json()
+    pool_widths = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(lpnl.evaluation, "ThreadPoolExecutor", CountingPool)
+    http = {"kind": "http_llm", "endpoint_url": prompt_keyed_url, "model_name": "m", "timeout": 5.0}
+    for backend in ({"kind": "lexical_overlap"}, http):
+        serial, threaded = (
+            run_benchmark(
+                tasks, g, FAST, PROMPT,
+                ScorerBackendConfig(**backend, max_in_flight=width),
+                DncConfig(length_limit=3), seeds=(0, 1),
+            )
+            for width in (1, 4)
+        )
+        assert not serial.failures and len(serial.rows) == 2 * len(tasks)
+        assert serial.to_json() == threaded.to_json()
+    # one pool in all: http_llm at width 4; the offline backend ran inline
+    assert pool_widths == [4]
+
+
+def test_offline_backends_run_inline(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an offline backend started a thread pool")
+
+    monkeypatch.setattr(lpnl.evaluation, "ThreadPoolExecutor", no_pool)
+    g = helpers.authorship_graph(n_papers=40, seed=5)
+    tasks = make_tasks(g, n_tasks=6, n_candidates=5, seed=3)
+    for kind in ("fixed_index", "oracle_truth", "lexical_overlap"):
+        report = run_benchmark(
+            tasks, g, FAST, PROMPT,
+            ScorerBackendConfig(kind=kind, max_in_flight=4), DncConfig(length_limit=3),
+        )
+        assert not report.failures and len(report.rows) == len(tasks)
 
 
 def test_predict_accepts_prebuilt_backend():

@@ -39,7 +39,7 @@ def fixture():
 
 
 def request_of(bundle):
-    return ScorerRequest.from_bundle(bundle)
+    return ScorerRequest(bundle)
 
 
 # -- deterministic backends -----------------------------------------------------
@@ -94,12 +94,6 @@ def test_deterministic_backends_stable_across_calls():
         first = score(request_of(bundle), cfg)
         second = score(request_of(bundle), cfg)
         assert first == second
-
-
-def test_request_candidate_order_must_match_bundle():
-    _, bundle = fixture()
-    with pytest.raises(ValueError):
-        ScorerRequest(bundle=bundle, candidate_order=tuple(reversed(bundle.candidate_order)))
 
 
 # -- resolution ladder ----------------------------------------------------------

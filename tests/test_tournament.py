@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import lpnl.sampling
 import lpnl.tournament
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import PromptConfig
@@ -266,13 +267,14 @@ def test_derive_ranking_incomplete_trace_rejected():
 def test_anchor_runs_once_per_node(monkeypatch):
     g, source, candidates = tournament_fixture(12)
     calls = []
-    real = lpnl.tournament.top_k_anchors
+    real = lpnl.sampling.top_k_anchors
 
     def counting(graph, center, cfg, mask=None):
         calls.append(center)
         return real(graph, center, cfg, mask)
 
-    monkeypatch.setattr(lpnl.tournament, "top_k_anchors", counting)
+    # predict reaches the sampler through lpnl.sampling.anchors_for
+    monkeypatch.setattr(lpnl.sampling, "top_k_anchors", counting)
     predict(
         g, source, "authored_by", candidates,
         FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[3]),
@@ -301,24 +303,6 @@ def test_prompts_within_budget_every_round(monkeypatch):
     )
     assert seen
     assert all(count <= 256 for count in seen)
-
-
-def test_concurrent_scoring_matches_serial():
-    g, source, candidates = tournament_fixture(20)
-    dnc = DncConfig(length_limit=3, grouping="sequential")
-    serial = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT,
-        ScorerBackendConfig(kind="lexical_overlap", max_in_flight=1), dnc,
-    )
-    threaded = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT,
-        ScorerBackendConfig(kind="lexical_overlap", max_in_flight=4), dnc,
-    )
-    assert serial.final == threaded.final
-    assert serial.rounds == threaded.rounds
-    assert serial.ranking == threaded.ranking
 
 
 def test_dnc_config_validation():
