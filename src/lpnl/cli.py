@@ -264,6 +264,8 @@ def _cmd_predict(args, config: dict) -> int:
     sampler_cfg = _sampler_config(config, args)
     prompt_cfg = _prompt_config(config, args)
     scorer_cfg = _scorer_config(config, args)
+    # one backend for every task, so its cache and session load once
+    scorer = None if args.dry_run else make_scorer(scorer_cfg)
     dnc_cfg = _dnc_config(config, args)
     out = _out_stream(args)
     status = 0
@@ -283,7 +285,7 @@ def _cmd_predict(args, config: dict) -> int:
         try:
             trace = predict(
                 g, source, relation, candidates,
-                sampler_cfg, prompt_cfg, scorer_cfg, dnc_cfg,
+                sampler_cfg, prompt_cfg, scorer, dnc_cfg,
             )
         except PredictionAborted as exc:
             status = 1

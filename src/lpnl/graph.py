@@ -7,9 +7,12 @@ Node file: UTF-8, newline-delimited, tab-separated::
     node_id<TAB>type_name<TAB>text
 
 ``text`` may contain any character except tab/newline; the escapes
-``\\t``, ``\\n`` and ``\\\\`` are honoured. Edge file::
+``\\t``, ``\\n`` and ``\\\\`` are honoured, and any other backslash stays
+literal. Edge file::
 
     src_id<TAB>dst_id<TAB>edge_type_name
+
+Identical edge lines collapse to one stored edge.
 
 Schema file: JSON with ``node_types`` (each ``{name, identifier_tag}``)
 and ``edge_types`` (each ``{name, source, target}``).
@@ -23,6 +26,7 @@ well defined.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import re
@@ -111,28 +115,12 @@ def _escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\([tn\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def _unescape_field(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 class EdgeMask:
@@ -148,6 +136,9 @@ class EdgeMask:
         self._triples: frozenset[tuple[int, int, str]] = frozenset(
             (int(u), int(v), str(t)) for u, v, t in triples
         )
+        # (graph, resolved triples) of the last HetGraph.resolve_mask call;
+        # traversal resolves the same mask many times per sample
+        self._resolution: tuple[HetGraph, frozenset[tuple[int, int, str]]] | None = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -177,6 +168,19 @@ class _TypedAdjacency:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
 
+    @classmethod
+    def from_pairs(cls, n: int, sources: list[int], targets: list[int]) -> _TypedAdjacency:
+        """Both CSR orientations of the distinct (source, target) pairs, rows sorted."""
+        # identical edge lines collapse to one stored edge; np.unique also
+        # sorts the pairs by source, then target
+        packed = np.asarray(sources, dtype=np.int64) * n + np.asarray(targets, dtype=np.int64)
+        u, v = np.divmod(np.unique(packed), max(n, 1))
+
+        def indptr(rows: np.ndarray) -> np.ndarray:
+            return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+        return cls(indptr(u), v, indptr(v), u[np.lexsort((u, v))])
+
 
 class HetGraph:
     """Typed-node, typed-edge graph, immutable after construction.
@@ -189,8 +193,8 @@ class HetGraph:
         self,
         node_types: Sequence[NodeType],
         edge_types: Sequence[EdgeType],
-        nodes: Sequence[tuple[str, str, str]],
-        edges: Sequence[tuple[str, str, str]],
+        nodes: Iterable[tuple[str, str, str]],
+        edges: Iterable[tuple[str, str, str]],
         *,
         _source: str | None = None,
     ):
@@ -211,6 +215,7 @@ class HetGraph:
         self.key_to_id: dict[str, int] = {}
         self._texts: list[str] = []
         self._type_of: list[NodeType] = []
+        self._nodes_of_type: dict[str, list[int]] = {name: [] for name in self.node_types}
         for key, type_name, text in nodes:
             if key in self.key_to_id:
                 raise GraphFormatError(f"duplicate node_id {key!r}")
@@ -220,14 +225,15 @@ class HetGraph:
             clean = normalize_text(text)
             if not clean:
                 raise GraphFormatError(f"node {key!r} has empty text after normalization")
+            self._nodes_of_type[type_name].append(len(self.keys))
             self.key_to_id[key] = len(self.keys)
             self.keys.append(key)
             self._texts.append(clean)
             self._type_of.append(nt)
 
         n = len(self.keys)
-        per_type: dict[str, list[tuple[int, int]]] = {et.name: [] for et in edge_types}
-        self._edge_pairs: dict[str, set[tuple[int, int]]] = {et.name: set() for et in edge_types}
+        sources: dict[str, list[int]] = {et.name: [] for et in edge_types}
+        targets: dict[str, list[int]] = {et.name: [] for et in edge_types}
         for src_key, dst_key, t_name in edges:
             et = self.edge_types.get(t_name)
             if et is None:
@@ -243,39 +249,19 @@ class HetGraph:
                     f"edge ({src_key!r}, {dst_key!r}, {t_name!r}) violates its meta-relation "
                     f"<{et.source_type}, {t_name}, {et.target_type}>"
                 )
-            if (u, v) in self._edge_pairs[t_name]:
-                continue  # identical edge lines collapse to one stored edge
-            self._edge_pairs[t_name].add((u, v))
-            per_type[t_name].append((u, v))
+            sources[t_name].append(u)
+            targets[t_name].append(v)
 
-        self._adj: dict[str, _TypedAdjacency] = {}
+        self._adj: dict[str, _TypedAdjacency] = {
+            t_name: _TypedAdjacency.from_pairs(n, sources[t_name], targets[t_name])
+            for t_name in self.edge_types
+        }
         self._deg_total = np.zeros(n, dtype=np.int64)
-        for t_name, pairs in per_type.items():
-            self._adj[t_name] = self._build_csr(n, pairs)
-            for u, v in pairs:
-                self._deg_total[u] += 1
-                self._deg_total[v] += 1
+        for adj in self._adj.values():
+            self._deg_total += np.diff(adj.fwd_indptr) + np.diff(adj.rev_indptr)
 
         if _source:
             logger.info("loaded graph from %s: %s", _source, self.summary())
-
-    @staticmethod
-    def _build_csr(n: int, pairs: list[tuple[int, int]]) -> _TypedAdjacency:
-        def csr(keyed: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            for a, _ in keyed:
-                indptr[a + 1] += 1
-            np.cumsum(indptr, out=indptr)
-            indices = np.zeros(len(keyed), dtype=np.int64)
-            cursor = indptr[:-1].copy()
-            for a, b in sorted(keyed):
-                indices[cursor[a]] = b
-                cursor[a] += 1
-            return indptr, indices
-
-        fwd_indptr, fwd_indices = csr(pairs)
-        rev_indptr, rev_indices = csr([(v, u) for u, v in pairs])
-        return _TypedAdjacency(fwd_indptr, fwd_indices, rev_indptr, rev_indices)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -284,7 +270,7 @@ class HetGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(p) for p in self._edge_pairs.values())
+        return sum(len(adj.fwd_indices) for adj in self._adj.values())
 
     def node(self, v: int) -> Node:
         self._check_node(v)
@@ -310,7 +296,7 @@ class HetGraph:
     def nodes_of_type(self, type_name: str) -> list[int]:
         if type_name not in self.node_types:
             raise UnknownNodeTypeError(type_name)
-        return [v for v in range(len(self.keys)) if self._type_of[v].name == type_name]
+        return list(self._nodes_of_type[type_name])
 
     def edge_type(self, t: EdgeType | str) -> EdgeType:
         name = t.name if isinstance(t, EdgeType) else t
@@ -320,8 +306,14 @@ class HetGraph:
         return et
 
     def has_edge(self, u: int, v: int, t: EdgeType | str) -> bool:
-        et = self.edge_type(t)
-        return (u, v) in self._edge_pairs[et.name]
+        """Whether (u, v) is a stored edge of type ``t`` in that orientation."""
+        adj = self._adj[self.edge_type(t).name]
+        if not (0 <= u < len(self.keys) and 0 <= v < len(self.keys)):
+            return False
+        # binary search of u's row; rows hold targets in ascending order
+        end = int(adj.fwd_indptr[u + 1])
+        i = bisect.bisect_left(adj.fwd_indices, v, int(adj.fwd_indptr[u]), end)
+        return i < end and bool(adj.fwd_indices[i] == v)
 
     def edges_of_type(self, t: EdgeType | str) -> list[tuple[int, int]]:
         """Stored (source, target) pairs of one edge type, in sorted order."""
@@ -331,10 +323,8 @@ class HetGraph:
         return list(zip(sources.tolist(), adj.fwd_indices.tolist()))
 
     def summary(self) -> dict:
-        node_counts: dict[str, int] = {name: 0 for name in self.node_types}
-        for nt in self._type_of:
-            node_counts[nt.name] += 1
-        edge_counts = {name: len(pairs) for name, pairs in self._edge_pairs.items()}
+        node_counts = {name: len(ids) for name, ids in self._nodes_of_type.items()}
+        edge_counts = {name: len(adj.fwd_indices) for name, adj in self._adj.items()}
         return {"nodes": len(self.keys), "edges": self.num_edges,
                 "node_types": node_counts, "edge_types": edge_counts}
 
@@ -349,20 +339,23 @@ class HetGraph:
 
         A triple whose literal orientation matches a stored edge masks that
         edge; otherwise, if the reversed orientation exists, the reversed
-        edge is masked. Triples matching nothing are ignored.
+        edge is masked. Triples matching nothing are ignored. The result is
+        remembered on the mask for the graph it was resolved against.
         """
         if not mask:
             return frozenset()
+        cached = mask._resolution
+        if cached is not None and cached[0] is self:
+            return cached[1]
         resolved = set()
         for u, v, t_name in mask.triples():
-            pairs = self._edge_pairs.get(t_name)
-            if pairs is None:
-                raise UnknownEdgeTypeError(t_name)
-            if (u, v) in pairs:
+            if self.has_edge(u, v, t_name):
                 resolved.add((u, v, t_name))
-            elif (v, u) in pairs:
+            elif self.has_edge(v, u, t_name):
                 resolved.add((v, u, t_name))
-        return frozenset(resolved)
+        resolution = frozenset(resolved)
+        mask._resolution = (self, resolution)
+        return resolution
 
     # -- traversal ----------------------------------------------------------
 
@@ -480,7 +473,8 @@ def _read_schema(schema_path: str) -> tuple[list[NodeType], list[EdgeType]]:
     return node_types, edge_types
 
 
-def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+def _read_tsv(path: str, n_fields: int, where: list) -> Iterator[list[str]]:
+    """Fields of each non-blank line; ``where`` is set to its file and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -493,31 +487,31 @@ def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
                     path=path,
                     line=lineno,
                 )
-            yield lineno, fields
+            where[:] = path, lineno
+            yield fields
 
 
 def load_graph(node_file: str, edge_file: str, schema: str) -> HetGraph:
     """Load and validate a heterogeneous graph from disk.
 
-    Raises :class:`GraphFormatError` on malformed records (with line
-    numbers), unknown type names, dangling edge endpoints, or duplicate
-    node ids.
+    Raises :class:`GraphFormatError` on malformed records, unknown type
+    names, dangling edge endpoints, or duplicate node ids; an error about
+    a record names its file and line. Records stream into
+    :class:`HetGraph`, which normalises each node's text once.
     """
     node_types, edge_types = _read_schema(schema)
-    nodes: list[tuple[str, str, str]] = []
-    for lineno, (key, type_name, text) in _read_tsv(node_file, 3):
-        text = _unescape_field(text)
-        if not normalize_text(text):
-            raise GraphFormatError(
-                f"node {key!r} has empty text after normalization",
-                path=node_file,
-                line=lineno,
-            )
-        nodes.append((key, type_name, text))
-    edges: list[tuple[str, str, str]] = []
-    for _, (src, dst, t_name) in _read_tsv(edge_file, 3):
-        edges.append((src, dst, t_name))
-    return HetGraph(node_types, edge_types, nodes, edges, _source=node_file)
+    where: list = [None, None]  # file and line of the record being added
+    nodes = (
+        (key, type_name, _unescape_field(text))
+        for key, type_name, text in _read_tsv(node_file, 3, where)
+    )
+    edges = _read_tsv(edge_file, 3, where)
+    try:
+        return HetGraph(node_types, edge_types, nodes, edges, _source=node_file)
+    except GraphFormatError as exc:
+        if exc.path is not None or where[0] is None:
+            raise
+        raise GraphFormatError(str(exc), path=where[0], line=where[1]) from exc
 
 
 def save_graph(g: HetGraph, node_file: str, edge_file: str, schema_file: str) -> None:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import helpers
+from lpnl import scoring
 from lpnl.cli import main
 from lpnl.graph import save_graph
+from lpnl.prompts import parse_prompt
 
 
 @pytest.fixture
@@ -132,6 +134,35 @@ def test_predict_subcommand_and_dry_run(cli_graph, tmp_path):
     bundles = read_ndjson(dry)
     assert len(bundles) == 6  # 4 candidates -> 2 sets per task
     assert all(b["token_count"] <= 1024 for b in bundles)
+
+
+def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, n=5, with_truth=False)
+    loads = []
+    real_load = scoring.ResponseCache._load
+
+    def counting_load(self):
+        loads.append(self.path)
+        real_load(self)
+
+    monkeypatch.setattr(scoring.ResponseCache, "_load", counting_load)
+    # answer with the first candidate's alias instead of calling a model
+    monkeypatch.setattr(
+        scoring.HttpLlmScorer, "_complete",
+        lambda self, text: parse_prompt(text).candidate_segments[0].split(": ", 1)[0],
+    )
+    cache = str(tmp_path / "cache.ndjson")
+    out = str(tmp_path / "traces.ndjson")
+    code = main(flags + [
+        "predict", "--tasks", tasks, "--backend", "http_llm",
+        "--endpoint-url", "http://127.0.0.1:9/complete", "--model", "m", "--cache", cache,
+        "--hops", "1", "--k", "2", "--length-limit", "2", "--seed", "0",
+        "--out", out,
+    ])
+    assert code == 0
+    assert len(read_ndjson(out)) == 5
+    assert loads == [cache]
 
 
 def test_gen_train_subcommand(cli_graph, tmp_path):

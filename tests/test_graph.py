@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,8 +68,8 @@ def test_unknown_type_name_rejected(toy_files, tmp_path):
 def test_empty_text_rejected_with_line(toy_files, tmp_path):
     _, edges, schema = toy_files
     bad = tmp_path / "nodes.tsv"
-    bad.write_text("p1\tpaper\t   \n")
-    with pytest.raises(GraphFormatError, match="empty text"):
+    bad.write_text("p1\tpaper\tfine\np2\tpaper\t \\t \n")
+    with pytest.raises(GraphFormatError, match=r"nodes\.tsv:2: .*empty text"):
         load_graph(str(bad), edges, schema)
 
 
@@ -181,6 +182,15 @@ def test_text_escapes_roundtrip(tmp_path):
     g2 = load_graph(str(tmp_path / "n2.tsv"), str(tmp_path / "e2.tsv"), str(tmp_path / "s2.json"))
     assert g2.text(0) == g.text(0)
 
+    # an escaped backslash before t, a trailing backslash, and an unknown escape
+    cases = {"y": ("x\\\\ty", "x\\ty"), "z": ("end\\", "end\\"), "w": ("a\\xb", "a\\xb")}
+    (tmp_path / "n3.tsv").write_text("".join(f"{k}\tn\t{raw}\n" for k, (raw, _) in cases.items()))
+    g3 = load_graph(str(tmp_path / "n3.tsv"), str(tmp_path / "e.tsv"), str(tmp_path / "s.json"))
+    assert [g3.text(g3.id_of(k)) for k in cases] == [want for _, want in cases.values()]
+    save_graph(g3, str(tmp_path / "n4.tsv"), str(tmp_path / "e4.tsv"), str(tmp_path / "s4.json"))
+    g4 = load_graph(str(tmp_path / "n4.tsv"), str(tmp_path / "e4.tsv"), str(tmp_path / "s4.json"))
+    assert [g4.text(v) for v in range(len(g4))] == [g3.text(v) for v in range(len(g3))]
+
 
 def test_normalize_text():
     assert normalize_text(" a\t b\nc\x00d ") == "a b cd"
@@ -193,3 +203,65 @@ def test_meta_relation_enforced(toy_files, tmp_path):
     bad.write_text("p1\tp2\twrites\n")  # writes must be author -> paper
     with pytest.raises(GraphFormatError, match="meta-relation"):
         load_graph(nodes, str(bad), schema)
+
+
+def test_duplicate_edge_lines_collapse(toy_files, tmp_path):
+    nodes, edges, schema = toy_files
+    doubled = tmp_path / "doubled.tsv"
+    doubled.write_text(Path(edges).read_text() + "a1\tp1\twrites\na1\tp1\twrites\n")
+    g = load_graph(nodes, str(doubled), schema)
+    assert g.summary() == load_graph(nodes, edges, schema).summary()
+    assert g.summary()["edge_types"] == {"writes": 2, "published_in": 1}
+    p1, a1, a2 = g.id_of("p1"), g.id_of("a1"), g.id_of("a2")
+    assert g.degree(p1) == 2
+    assert g.degree(a1) == 1
+    assert g.neighbors(p1, "writes") == sorted([a1, a2])
+    assert g.neighbors(a1, "writes") == [p1]
+
+
+def test_has_edge_orientation_and_range(toy_graph):
+    g = toy_graph
+    p1, a1, p2, v1 = g.id_of("p1"), g.id_of("a1"), g.id_of("p2"), g.id_of("v1")
+    assert g.has_edge(a1, p1, "writes")
+    assert not g.has_edge(p1, a1, "writes")
+    assert not g.has_edge(a1, p1, "published_in")
+    assert g.has_edge(p2, v1, "published_in")
+    for u, v in [(-1, p1), (a1, -1), (len(g), p1), (a1, len(g)), (10**9, 10**9)]:
+        assert not g.has_edge(u, v, "writes")
+    with pytest.raises(UnknownEdgeTypeError):
+        g.has_edge(a1, p1, "frobnicates")
+
+
+def test_mask_naming_missing_node_is_ignored(toy_graph):
+    g = toy_graph
+    p1, a1 = g.id_of("p1"), g.id_of("a1")
+    mask = EdgeMask([(a1, p1, "writes"), (len(g) + 3, p1, "writes"), (-1, a1, "writes")])
+    assert g.resolve_mask(mask) == {(a1, p1, "writes")}
+    assert g.degree(p1, mask) == 1
+    with pytest.raises(UnknownEdgeTypeError):
+        g.resolve_mask(EdgeMask([(a1, p1, "frobnicates")]))
+
+
+def test_empty_node_and_edge_files_load(tmp_path):
+    schema = {
+        "node_types": [{"name": "n", "identifier_tag": "NN"}],
+        "edge_types": [{"name": "e", "source": "n", "target": "n"}],
+    }
+    (tmp_path / "s.json").write_text(json.dumps(schema))
+    (tmp_path / "n.tsv").write_text("")
+    (tmp_path / "e.tsv").write_text("")
+    g = load_graph(str(tmp_path / "n.tsv"), str(tmp_path / "e.tsv"), str(tmp_path / "s.json"))
+    assert len(g) == 0
+    assert g.summary() == {"nodes": 0, "edges": 0, "node_types": {"n": 0}, "edge_types": {"e": 0}}
+    assert g.nodes_of_type("n") == []
+    assert g.edges_of_type("e") == []
+    assert not g.has_edge(0, 0, "e")
+
+
+def test_record_errors_name_file_and_line(toy_files, tmp_path):
+    nodes, edges, schema = toy_files
+    bad = tmp_path / "edges.tsv"
+    bad.write_text("a1\tp1\twrites\n\na2\tp9\twrites\n")
+    with pytest.raises(GraphFormatError, match=r"edges\.tsv:3: .*'p9'") as info:
+        load_graph(nodes, str(bad), schema)
+    assert (info.value.path, info.value.line) == (str(bad), 3)
