@@ -420,10 +420,19 @@ class HetGraph:
         return self._degree_resolved(v, self.resolve_mask(mask))
 
     def degrees(self, nodes: Sequence[int], mask: EdgeMask | None = None) -> np.ndarray:
-        resolved = self.resolve_mask(mask)
-        if not resolved:
-            return self._deg_total[np.asarray(nodes, dtype=np.int64)].copy()
-        return np.array([self._degree_resolved(v, resolved) for v in nodes], dtype=np.int64)
+        """:meth:`degree` of each node, in order; the first unknown id raises."""
+        n = len(self.keys)
+        # builtin min/max: a numpy mask with any() doubled this call's cost on
+        # the sampler's short lists
+        if len(nodes) and (min(nodes) < 0 or max(nodes) >= n):
+            raise UnknownNodeError(next(v for v in nodes if not 0 <= v < n))
+        ids = np.asarray(nodes, dtype=np.int64)
+        degs = self._deg_total[ids]
+        # a mask holds a few edges; each takes one from both its endpoints
+        for mu, mv, _ in self.resolve_mask(mask):
+            degs -= ids == mu
+            degs -= ids == mv
+        return degs
 
     def induced_edges(
         self, vertex_set: Iterable[int], mask: EdgeMask | None = None

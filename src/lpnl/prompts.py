@@ -15,13 +15,23 @@ prompt in first-appearance order; the bracketed tag is the node type's
 identifier tag. Newlines cannot occur inside node text (normalization
 collapses them), which makes the line-oriented grammar parseable — see
 :func:`parse_prompt`.
+
+To fit the token budget, :func:`build_prompt` drops anchor tails along a
+fixed shrink schedule and binary-searches it for the first step that fits,
+so a prompt costs about log2 of the schedule's length renders rather than
+one per step. Each node's ``": <text> [<TAG>]"`` label is built and checked
+once per call and shared by those renders; nothing is cached on the graph.
+The search relies on a render with fewer anchors never having more tokens,
+which a callable ``token_estimator`` must respect: if it gives a shorter
+prompt more tokens, the prompt still fits the budget but may carry fewer
+anchors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import EdgeType, HetGraph
 from .sampling import AnchorList
@@ -147,27 +157,6 @@ def estimate_tokens(text: str, cfg: PromptConfig) -> int:
     return math.ceil(len(text) / 4)
 
 
-class _AliasAllocator:
-    """Per-prompt aliases like ``p1``, ``a2`` in first-appearance order."""
-
-    def __init__(self, g: HetGraph):
-        self._prefixes = _alias_prefixes(g)
-        self._g = g
-        self._counters: dict[str, int] = {}
-        self._assigned: dict[int, str] = {}
-
-    def alias(self, v: int) -> str:
-        got = self._assigned.get(v)
-        if got is not None:
-            return got
-        prefix = self._prefixes[self._g.type_of(v).name]
-        nth = self._counters.get(prefix, 0) + 1
-        self._counters[prefix] = nth
-        alias = f"{prefix}{nth}"
-        self._assigned[v] = alias
-        return alias
-
-
 def _alias_prefixes(g: HetGraph) -> dict[str, str]:
     """Shortest unambiguous lowercase prefix per node type name."""
     ordered = sorted(g.node_types.values(), key=lambda nt: nt.type_id)
@@ -187,30 +176,57 @@ def _alias_prefixes(g: HetGraph) -> dict[str, str]:
     return prefixes
 
 
-def _render_one(g: HetGraph, v: int, aliases: _AliasAllocator) -> str:
-    text = g.text(v)
-    if not text:
-        raise EmptyNodeTextError(v)
-    return f"{aliases.alias(v)}: {text} [{g.type_of(v).identifier_tag}]"
+def _node_labels(
+    g: HetGraph, prefixes: Mapping[str, str], nodes: Iterable[int]
+) -> dict[int, tuple[str, str]]:
+    """Alias prefix and ``": <text> [<TAG>]"`` label of each node, in order.
+
+    Each node is checked once, through the public accessor, in the order
+    given; the first unknown id or empty text raises. The dict lives for
+    one call, so no copy of the graph's text outlives it.
+    """
+    labels: dict[int, tuple[str, str]] = {}
+    for v in nodes:
+        if v in labels:
+            continue
+        text = g.text(v)
+        if not text:
+            raise EmptyNodeTextError(v)
+        nt = g._type_of[v]
+        labels[v] = (prefixes[nt.name], f": {text} [{nt.identifier_tag}]")
+    return labels
 
 
-def _render_description(
-    g: HetGraph,
-    v: int,
-    anchors: AnchorList,
-    max_anchors: int,
-    cfg: PromptConfig,
-    aliases: _AliasAllocator,
-) -> tuple[str, int]:
-    head = _render_one(g, v, aliases)
-    used = 0
-    if max_anchors > 0 and anchors.entries:
-        rendered = [
-            _render_one(g, a, aliases) for a, _ in anchors.entries[:max_anchors]
-        ]
-        used = len(rendered)
-        head = head + RELATED_WITH + cfg.anchor_separator.join(rendered)
-    return head, used
+class _AliasAllocator:
+    """Per-prompt aliases like ``p1``, ``a2`` in first-appearance order."""
+
+    def __init__(self, labels: Mapping[int, tuple[str, str]]):
+        self._labels = labels
+        self._counters: dict[str, int] = {}
+        self._assigned: dict[int, str] = {}
+
+    def alias(self, v: int) -> str:
+        got = self._assigned.get(v)
+        if got is not None:
+            return got
+        prefix = self._labels[v][0]
+        nth = self._counters.get(prefix, 0) + 1
+        self._counters[prefix] = nth
+        alias = f"{prefix}{nth}"
+        self._assigned[v] = alias
+        return alias
+
+    def describe(
+        self, v: int, anchors: Sequence[tuple[int, float]], max_anchors: int, sep: str
+    ) -> str:
+        """``v``'s description with the first ``max_anchors`` of its anchors."""
+        labels = self._labels
+        head = self.alias(v) + labels[v][1]
+        if max_anchors > 0 and anchors:
+            head += RELATED_WITH + sep.join(
+                [self.alias(a) + labels[a][1] for a, _ in anchors[:max_anchors]]
+            )
+        return head
 
 
 def describe_node(
@@ -229,46 +245,29 @@ def describe_node(
         raise ValueError(f"anchor list belongs to {anchors.center}, not {v}")
     if max_anchors is None:
         max_anchors = len(anchors.entries)
-    rendered, used = _render_description(
-        g, v, anchors, max_anchors, cfg, _AliasAllocator(g)
-    )
+    used = max(0, min(max_anchors, len(anchors.entries)))
+    shown = [a for a, _ in anchors.entries[:used]]
+    labels = _node_labels(g, _alias_prefixes(g), [v, *shown])
+    rendered = _AliasAllocator(labels).describe(v, anchors.entries, used, cfg.anchor_separator)
     return NodeDescription(subject=v, rendered=rendered, anchors_used=used)
 
 
-def _render_prompt(
-    g: HetGraph,
-    source: int,
-    relation: EdgeType,
-    candidates: Sequence[int],
-    anchor_source: Mapping[int, AnchorList],
-    cfg: PromptConfig,
-    source_anchors: int,
-    candidate_anchors: int,
-) -> PromptBundle:
-    aliases = _AliasAllocator(g)
-    source_alias = aliases.alias(source)
-    question = cfg.question_for(relation, source_alias)
-    source_desc, _ = _render_description(
-        g, source, anchor_source[source], source_anchors, cfg, aliases
-    )
-    cand_descs: list[str] = []
-    cand_aliases: list[str] = []
-    for c in candidates:
-        cand_aliases.append(aliases.alias(c))
-        desc, _ = _render_description(
-            g, c, anchor_source[c], candidate_anchors, cfg, aliases
-        )
-        cand_descs.append(desc)
-    text = "\n".join([question, source_desc, *cand_descs])
-    return PromptBundle(
-        text=text,
-        token_count=estimate_tokens(text, cfg),
-        source=source,
-        candidate_order=tuple(int(c) for c in candidates),
-        source_alias=source_alias,
-        candidate_aliases=tuple(cand_aliases),
-        candidate_texts=tuple(g.text(c) for c in candidates),
-    )
+def _shrink_cuts(k: int) -> list[int]:
+    """Anchor counts after each cut of ``k`` by ``SHRINK_STEP``, down to 0."""
+    return [*range(k - SHRINK_STEP, 0, -SHRINK_STEP), 0] if k > 0 else []
+
+
+def _shrink_schedule(k_source: int, k_cand: int) -> list[tuple[int, int]]:
+    """``(source anchors, candidate anchors)`` per step, most anchors first.
+
+    Full anchors, then the candidates' anchors cut by ``SHRINK_STEP`` down
+    to 0, then the source's. The last step is always ``(0, 0)``.
+    """
+    return [
+        (k_source, k_cand),
+        *((k_source, k) for k in _shrink_cuts(k_cand)),
+        *((k, 0) for k in _shrink_cuts(k_source)),
+    ]
 
 
 def build_prompt(
@@ -283,9 +282,23 @@ def build_prompt(
 
     When the fully rendered prompt would exceed ``cfg.token_budget``, the
     candidates' anchor counts shrink first (they dominate the token mass),
-    then the source's, each in steps of 5 down to zero. If even the
-    anchor-free rendering cannot fit, :class:`BudgetUnsatisfiableError`
-    reports the minimal token need instead of silently overflowing.
+    then the source's, each in steps of 5 down to zero. The result is the
+    first step of that schedule whose render fits. A binary search over the
+    schedule finds it in about log2 of its length renders, each measured by
+    :func:`estimate_tokens`; every node's label is built and checked once
+    per call, in full-render order, and shared by those renders.
+
+    The search returns the step a walk down the schedule would return as
+    long as a render with fewer anchors never has more tokens. The
+    ``whitespace`` estimator always keeps this; ``chars_div_4`` keeps it
+    unless alias renumbering (``c9`` -> ``c10``) outgrows the dropped
+    anchors, which takes dozens of candidates sharing one anchor. A
+    callable ``token_estimator`` must not give a shorter prompt more
+    tokens. Where counts do increase, the prompt still fits the budget but
+    may carry fewer anchors than the walk would keep, and the call may
+    refuse a prompt that an earlier step would fit. If even the anchor-free
+    rendering cannot fit, :class:`BudgetUnsatisfiableError` reports its
+    token count instead of silently overflowing.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
@@ -302,30 +315,55 @@ def build_prompt(
         if c not in anchor_source:
             raise KeyError(f"no anchor list supplied for candidate {c}")
 
-    k_source = len(anchor_source[source].entries)
-    k_cand = max((len(anchor_source[c].entries) for c in candidates), default=0)
+    prefixes = _alias_prefixes(g)
+    # the source is the first node aliased in every render
+    source_alias = f"{prefixes[g.type_of(source).name]}1"
+    question = cfg.question_for(relation, source_alias)
+    source_entries = anchor_source[source].entries
+    cand_entries = [anchor_source[c].entries for c in candidates]
+    # full-render order, so the first bad node raises as a full render would
+    order = [source, *(a for a, _ in source_entries)]
+    for c, entries in zip(candidates, cand_entries):
+        order.append(c)
+        order.extend(a for a, _ in entries)
+    labels = _node_labels(g, prefixes, order)
+    sep = cfg.anchor_separator
 
-    def render(src_k: int, cand_k: int) -> PromptBundle:
-        return _render_prompt(
-            g, source, relation, candidates, anchor_source, cfg, src_k, cand_k
-        )
+    def render(src_k: int, cand_k: int) -> tuple[str, int, tuple[str, ...]]:
+        aliases = _AliasAllocator(labels)
+        lines = [question, aliases.describe(source, source_entries, src_k, sep)]
+        cand_aliases = []
+        for c, entries in zip(candidates, cand_entries):
+            cand_aliases.append(aliases.alias(c))
+            lines.append(aliases.describe(c, entries, cand_k, sep))
+        text = "\n".join(lines)
+        return text, estimate_tokens(text, cfg), tuple(cand_aliases)
 
-    bundle = render(k_source, k_cand)
-    if bundle.token_count <= cfg.token_budget:
-        return bundle
-    cand_k = k_cand
-    while cand_k > 0:
-        cand_k = max(cand_k - SHRINK_STEP, 0)
-        bundle = render(k_source, cand_k)
-        if bundle.token_count <= cfg.token_budget:
-            return bundle
-    src_k = k_source
-    while src_k > 0:
-        src_k = max(src_k - SHRINK_STEP, 0)
-        bundle = render(src_k, 0)
-        if bundle.token_count <= cfg.token_budget:
-            return bundle
-    raise BudgetUnsatisfiableError(needed=bundle.token_count, budget=cfg.token_budget)
+    schedule = _shrink_schedule(len(source_entries), max(map(len, cand_entries)))
+    # steps up to lo do not fit, step hi does (hi == len(schedule): none known)
+    lo, hi = -1, len(schedule)
+    fit = None
+    needed = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        rendered = render(*schedule[mid])
+        if rendered[1] <= cfg.token_budget:
+            hi, fit = mid, rendered
+        else:
+            lo, needed = mid, rendered[1]
+    if fit is None:
+        # lo ended on the last step, the anchor-free render
+        raise BudgetUnsatisfiableError(needed=needed, budget=cfg.token_budget)
+    text, token_count, cand_aliases = fit
+    return PromptBundle(
+        text=text,
+        token_count=token_count,
+        source=source,
+        candidate_order=tuple(int(c) for c in candidates),
+        source_alias=source_alias,
+        candidate_aliases=cand_aliases,
+        candidate_texts=tuple(g.text(c) for c in candidates),
+    )
 
 
 @dataclass(frozen=True)

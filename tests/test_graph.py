@@ -109,6 +109,19 @@ def test_mask_of_absent_edge_changes_nothing(toy_graph):
     assert g.degree(a1, mask) == g.degree(a1)
 
 
+def test_degrees_rejects_unknown_ids(toy_graph):
+    g = toy_graph
+    p1, a1 = g.id_of("p1"), g.id_of("a1")
+    mask = EdgeMask([(a1, p1, "writes")])
+    assert g.degrees([p1, a1]).tolist() == [2, 1]
+    assert g.degrees([p1, a1], mask).tolist() == [1, 0]
+    for bad in (-1, len(g)):
+        for m in (None, mask):
+            with pytest.raises(UnknownNodeError) as excinfo:
+                g.degrees([p1, bad, a1], m)
+            assert excinfo.value.args == (bad,)
+
+
 def test_degree_isolated_node(toy_graph):
     # v1 has one edge; a fresh graph with an isolated node:
     g = helpers.degree_profile_graph({"lonely": 0, "busy": 3})

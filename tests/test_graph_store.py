@@ -109,6 +109,7 @@ def _assert_matches_reference(g, ref, rng):
 
     # masks mixing stored, reversed, absent and out-of-range triples
     every = [(u, v, t) for t, pairs in ref.pairs.items() for u, v in sorted(pairs)]
+    unmasked = ref.degrees()
     for _ in range(50):
         triples = [every[int(i)] for i in rng.integers(0, len(every), size=4)]
         triples += [(v, u, t) for u, v, t in triples[:2]]
@@ -116,6 +117,11 @@ def _assert_matches_reference(g, ref, rng):
         triples += [(int(rng.integers(n)), int(rng.integers(n)), t_name), (n + 1, 0, t_name)]
         mask = EdgeMask(triples)
         assert g.resolve_mask(mask) == ref.resolve_mask(mask)
+        want = unmasked.copy()
+        for u, v, _ in ref.resolve_mask(mask):
+            want[u] -= 1
+            want[v] -= 1
+        np.testing.assert_array_equal(g.degrees(range(n), mask), want)
 
 
 @pytest.mark.parametrize("n_topics", [40, 400])

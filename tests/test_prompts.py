@@ -6,6 +6,7 @@ from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import (
     BudgetUnsatisfiableError,
     PromptConfig,
+    _shrink_schedule,
     build_prompt,
     describe_node,
     estimate_tokens,
@@ -243,3 +244,71 @@ def test_budget_never_silently_exceeded(text_len, n_candidates, budget):
     except BudgetUnsatisfiableError:
         return
     assert bundle.token_count <= budget
+
+
+@st.composite
+def shrink_inputs(draw):
+    """A source, 1-6 candidates and anchor lists drawn from a shared pool.
+
+    Texts may be one character long, and anchors may be other candidates,
+    so aliases renumber (``c9`` -> ``c10``) as anchors are cut.
+    """
+    n_pool = draw(st.integers(min_value=0, max_value=24))
+    n_cands = draw(st.integers(min_value=1, max_value=6))
+    text = st.text(alphabet="ab", min_size=1, max_size=6) | st.sampled_from(["a", "b b"])
+    node_types = [NodeType("s", 0, "SS"), NodeType("c", 1, "CC"), NodeType("f", 2, "FF")]
+    edge_types = [EdgeType("rel", "s", "c")]
+    nodes = [("src", "s", draw(text))]
+    nodes += [(f"c{i}", "c", draw(text)) for i in range(n_cands)]
+    nodes += [(f"x{i}", draw(st.sampled_from(["c", "f", "s"])), draw(text)) for i in range(n_pool)]
+    g = HetGraph(node_types, edge_types, nodes, [])
+    centers = [0, *range(1, n_cands + 1)]
+    anchors = {}
+    for v in centers:
+        picks = draw(st.lists(st.integers(0, len(g) - 1), unique=True, max_size=22))
+        anchors[v] = AnchorList(v, tuple((a, 1.0) for a in picks if a != v))
+    return g, anchors, list(range(1, n_cands + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=shrink_inputs(), estimator=st.sampled_from(["chars_div_4", "whitespace"]))
+def test_tokens_never_increase_along_shrink_schedule(inputs, estimator):
+    # build_prompt binary-searches the schedule, which finds the first step
+    # that fits only if token counts never increase along it
+    g, anchors, candidates = inputs
+    cfg = PromptConfig(token_budget=10**9, token_estimator=estimator)
+    k_cand = max(len(anchors[c].entries) for c in candidates)
+    counts = []
+    for src_k, cand_k in _shrink_schedule(len(anchors[0].entries), k_cand):
+        # with the anchor lists cut to a step's counts, the full render is that step
+        cut = {v: AnchorList(v, anchors[v].entries[: src_k if v == 0 else cand_k]) for v in anchors}
+        counts.append(build_prompt(0, "rel", candidates, cut, g, cfg).token_count)
+    assert counts == sorted(counts, reverse=True)
+
+
+def test_shrink_schedule_steps():
+    assert _shrink_schedule(0, 0) == [(0, 0)]
+    assert _shrink_schedule(0, 3) == [(0, 3), (0, 0)]
+    assert _shrink_schedule(12, 10) == [(12, 10), (12, 5), (12, 0), (7, 0), (2, 0), (0, 0)]
+
+
+def test_one_step_schedule_fits_or_reports_need():
+    # no anchors anywhere: the schedule is the anchor-free render alone
+    g, anchors = big_text_fixture(300, 2)
+    candidates = [g.id_of("c0"), g.id_of("c1")]
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return len(text)
+
+    fits = build_prompt(g.id_of("src"), "rel", candidates, anchors, g,
+                        PromptConfig(token_budget=1024, token_estimator=counting))
+    assert calls == [fits.text] and fits.token_count == len(fits.text)
+    calls.clear()
+    with pytest.raises(BudgetUnsatisfiableError) as excinfo:
+        build_prompt(g.id_of("src"), "rel", candidates, anchors, g,
+                     PromptConfig(token_budget=len(fits.text) - 1, token_estimator=counting))
+    assert len(calls) == 1
+    assert excinfo.value.needed == len(fits.text)
+    assert excinfo.value.budget == len(fits.text) - 1
