@@ -18,117 +18,152 @@ import json
 import logging
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple
 
-from .datagen import DatagenConfig, generate_examples, leakage_audit, write_examples
+from .datagen import (
+    NEGATIVE_POLICIES,
+    SPLITS,
+    DatagenConfig,
+    generate_examples,
+    leakage_audit,
+    write_examples,
+)
 from .evaluation import read_tasks, run_benchmark
 from .graph import HetGraph, load_graph
 from .prompts import (
+    TOKEN_ESTIMATORS,
     BudgetUnsatisfiableError,
     PromptBundle,
     PromptConfig,
     build_prompt,
     parse_prompt,
 )
-from .sampling import SamplerConfig, anchors_for, top_k_anchors
-from .scoring import ScorerBackendConfig, ScorerRequest, make_scorer
-from .tournament import DncConfig, PredictionAborted, partition, predict
+from .sampling import PPR_MODES, SamplerConfig, anchors_for, top_k_anchors
+from .scoring import BACKEND_KINDS, ScorerBackendConfig, ScorerRequest, make_scorer
+from .tournament import GROUPINGS, DncConfig, PredictionAborted, partition, predict
 
 logger = logging.getLogger("lpnl")
+
+
+@dataclass(frozen=True)
+class _GraphFiles:
+    nodes: str | None = None
+    edges: str | None = None
+    schema: str | None = None
+
+
+# config file section -> the class it builds
+_SECTIONS = {
+    "graph": _GraphFiles,
+    "sampler": SamplerConfig,
+    "prompt": PromptConfig,
+    "scorer": ScorerBackendConfig,
+    "dnc": DncConfig,
+    "datagen": DatagenConfig,
+}
+
+
+class _Knob(NamedTuple):
+    """A flag, the ``section.field`` config keys it overrides, its argparse settings.
+
+    ``parse`` converts a set flag's string when the section is built, so a
+    malformed value fails like a bad config value.
+    """
+
+    flag: str
+    keys: tuple[str, ...]
+    settings: dict = {}
+    parse: Callable[[str], Any] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_KNOBS = (
+    _Knob("--nodes", ("graph.nodes",), {"help": "node file (tsv)"}),
+    _Knob("--edges", ("graph.edges",), {"help": "edge file (tsv)"}),
+    _Knob("--schema", ("graph.schema",), {"help": "schema file (json)"}),
+    _Knob("--hops", ("sampler.hops",), {"type": int}),
+    _Knob("--k", ("sampler.anchor_k",), {"type": int}),
+    _Knob("--budget", ("sampler.layer_budget",), {"type": int}),
+    _Knob("--alpha", ("sampler.alpha",), {"type": float}),
+    _Knob("--mode", ("sampler.ppr_mode",), {"choices": PPR_MODES}),
+    _Knob("--seed", ("sampler.rng_seed", "dnc.rng_seed", "datagen.rng_seed"), {"type": int}),
+    _Knob("--token-budget", ("prompt.token_budget",), {"type": int}),
+    _Knob("--token-estimator", ("prompt.token_estimator",), {"choices": TOKEN_ESTIMATORS}),
+    _Knob("--backend", ("scorer.kind",), {"choices": BACKEND_KINDS}),
+    _Knob("--endpoint-url", ("scorer.endpoint_url",)),
+    _Knob("--model", ("scorer.model_name",)),
+    _Knob("--api-key-env", ("scorer.api_key_env_var",)),
+    _Knob("--cache", ("scorer.cache_path",)),
+    _Knob("--fixed-index", ("scorer.fixed_index",), {"type": int}),
+    _Knob("--max-in-flight", ("scorer.max_in_flight",), {"type": int}),
+    _Knob("--timeout", ("scorer.timeout",), {"type": float}),
+    _Knob("--max-retries", ("scorer.max_retries",), {"type": int}),
+    _Knob("--length-limit", ("dnc.length_limit",), {"type": int}),
+    _Knob("--grouping", ("dnc.grouping",), {"choices": GROUPINGS}),
+    _Knob("--relation", ("datagen.relation",), {"required": True}),
+    _Knob("--num", ("datagen.num_examples",), {"type": int, "required": True}),
+    _Knob("--candidates-per-example", ("datagen.candidates_per_example",), {"type": int}),
+    _Knob("--policy", ("datagen.negative_policy",), {"choices": NEGATIVE_POLICIES}),
+    _Knob("--split", ("datagen.split",), {"choices": SPLITS}),
+    _Knob("--split-boundaries", ("datagen.split_boundaries",), {"help": "comma pair, e.g. 2015,2016"},
+          lambda text: tuple(float(x) for x in text.split(","))),
+)
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    for name in config:
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown config section {name!r}")
+    return config
 
 
-def _merge(section: dict, overrides: dict) -> dict:
-    merged = dict(section)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _sampler_config(config: dict, args) -> SamplerConfig:
-    section = _merge(
-        config.get("sampler", {}),
-        {
-            "hops": getattr(args, "hops", None),
-            "anchor_k": getattr(args, "k", None),
-            "layer_budget": getattr(args, "budget", None),
-            "alpha": getattr(args, "alpha", None),
-            "ppr_mode": getattr(args, "mode", None),
-            "rng_seed": getattr(args, "seed", None),
-        },
-    )
-    return SamplerConfig(**section)
-
-
-def _prompt_config(config: dict, args) -> PromptConfig:
-    section = _merge(
-        config.get("prompt", {}),
-        {
-            "token_budget": getattr(args, "token_budget", None),
-            "token_estimator": getattr(args, "token_estimator", None),
-        },
-    )
-    return PromptConfig(**section)
-
-
-def _scorer_config(config: dict, args) -> ScorerBackendConfig:
-    section = _merge(
-        config.get("scorer", {}),
-        {
-            "kind": getattr(args, "backend", None),
-            "endpoint_url": getattr(args, "endpoint_url", None),
-            "model_name": getattr(args, "model", None),
-            "api_key_env_var": getattr(args, "api_key_env", None),
-            "cache_path": getattr(args, "cache", None),
-            "fixed_index": getattr(args, "fixed_index", None),
-            "max_in_flight": getattr(args, "max_in_flight", None),
-            "timeout": getattr(args, "timeout", None),
-            "max_retries": getattr(args, "max_retries", None),
-        },
-    )
-    truth_pairs = section.get("truth_pairs")
-    if truth_pairs is not None:
-        section["truth_pairs"] = frozenset(tuple(p) for p in truth_pairs)
-    return ScorerBackendConfig(**section)
-
-
-def _dnc_config(config: dict, args) -> DncConfig:
-    section = _merge(
-        config.get("dnc", {}),
-        {
-            "length_limit": getattr(args, "length_limit", None),
-            "grouping": getattr(args, "grouping", None),
-            "rng_seed": getattr(args, "seed", None),
-        },
-    )
-    return DncConfig(**section)
+def _section(name: str, config: dict, args):
+    """Config section ``name``: the flags the user set laid over the file's section."""
+    cls = _SECTIONS[name]
+    values = dict(config.get(name, {}))
+    known = {f.name for f in fields(cls)}
+    for key in values:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in config section {name!r}")
+    # JSON has no tuples; the scorer looks pairs up in a frozenset
+    if values.get("truth_pairs") is not None:
+        values["truth_pairs"] = frozenset(tuple(p) for p in values["truth_pairs"])
+    for knob in _KNOBS:
+        value = getattr(args, knob.dest, None)
+        if value is None:
+            continue
+        for key in knob.keys:
+            section, _, attr = key.partition(".")
+            if section == name:
+                values[attr] = knob.parse(value) if knob.parse else value
+    return cls(**values)
 
 
 def _load_graph(config: dict, args) -> HetGraph:
-    section = _merge(
-        config.get("graph", {}),
-        {
-            "nodes": getattr(args, "nodes", None),
-            "edges": getattr(args, "edges", None),
-            "schema": getattr(args, "schema", None),
-        },
-    )
-    missing = [name for name in ("nodes", "edges", "schema") if not section.get(name)]
+    files = _section("graph", config, args)
+    missing = [f.name for f in fields(files) if not getattr(files, f.name)]
     if missing:
         raise SystemExit(f"missing graph file settings: {', '.join(missing)}")
-    return load_graph(section["nodes"], section["edges"], section["schema"])
+    return load_graph(files.nodes, files.edges, files.schema)
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+@contextmanager
+def _output(path: str | None):
+    """The ``--out`` file, closed on exit even when the handler raises; else stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _read_task_records(path: str) -> list[dict]:
@@ -142,24 +177,23 @@ def _read_task_records(path: str) -> list[dict]:
 
 
 # -- subcommand handlers ------------------------------------------------------
+#
+# Each handler gets the parsed flags, the loaded graph and the config
+# sections its subcommand builds, keyed by section name.
 
 
-def _cmd_sample(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    sampler_cfg = _sampler_config(config, args)
-    out = _out_stream(args)
-    for center_key in args.center:
-        center = g.id_of(center_key)
-        anchors = top_k_anchors(g, center, sampler_cfg)
-        record = {
-            "center": center_key,
-            "anchors": [
-                {"id": g.key_of(v), "score": s} for v, s in anchors.entries
-            ],
-        }
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    if out is not sys.stdout:
-        out.close()
+def _cmd_sample(args, g: HetGraph, cfg: dict) -> int:
+    with _output(args.out) as out:
+        for center_key in args.center:
+            center = g.id_of(center_key)
+            anchors = top_k_anchors(g, center, cfg["sampler"])
+            record = {
+                "center": center_key,
+                "anchors": [
+                    {"id": g.key_of(v), "score": s} for v, s in anchors.entries
+                ],
+            }
+            out.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 
@@ -173,26 +207,21 @@ def _bundle_record(bundle: PromptBundle, g: HetGraph, relation: str) -> dict:
     }
 
 
-def _cmd_prompt(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    sampler_cfg = _sampler_config(config, args)
-    prompt_cfg = _prompt_config(config, args)
-    out = _out_stream(args)
+def _cmd_prompt(args, g: HetGraph, cfg: dict) -> int:
     failed = 0
-    for record in _read_task_records(args.tasks):
-        source = g.id_of(record["source_id"])
-        candidates = [g.id_of(c) for c in record["candidate_ids"]]
-        relation = record["relation"]
-        anchors = anchors_for(g, (source, *candidates), sampler_cfg)
-        try:
-            bundle = build_prompt(source, relation, candidates, anchors, g, prompt_cfg)
-        except BudgetUnsatisfiableError as exc:
-            failed += 1
-            out.write(json.dumps({"source": record["source_id"], "error": str(exc)}) + "\n")
-            continue
-        out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        for record in _read_task_records(args.tasks):
+            source = g.id_of(record["source_id"])
+            candidates = [g.id_of(c) for c in record["candidate_ids"]]
+            relation = record["relation"]
+            anchors = anchors_for(g, (source, *candidates), cfg["sampler"])
+            try:
+                bundle = build_prompt(source, relation, candidates, anchors, g, cfg["prompt"])
+            except BudgetUnsatisfiableError as exc:
+                failed += 1
+                out.write(json.dumps({"source": record["source_id"], "error": str(exc)}) + "\n")
+                continue
+            out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
     return 1 if failed else 0
 
 
@@ -214,30 +243,21 @@ def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
     )
 
 
-def _cmd_score(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    scorer_cfg = _scorer_config(config, args)
-    scorer = make_scorer(scorer_cfg)
-    out = _out_stream(args)
-    for record in _read_task_records(args.prompts):
-        if "error" in record:
-            continue
-        bundle = _rebuild_bundle(record, g)
-        response = scorer.score(ScorerRequest(bundle))
-        out.write(
-            json.dumps(
-                {
-                    "source": record["source"],
-                    "chosen": g.key_of(response.chosen),
-                    "resolution": response.resolution,
-                    "raw_output": response.raw_output,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    if out is not sys.stdout:
-        out.close()
+def _cmd_score(args, g: HetGraph, cfg: dict) -> int:
+    scorer = make_scorer(cfg["scorer"])
+    with _output(args.out) as out:
+        for record in _read_task_records(args.prompts):
+            if "error" in record:
+                continue
+            bundle = _rebuild_bundle(record, g)
+            response = scorer.score(ScorerRequest(bundle))
+            choice = {
+                "source": record["source"],
+                "chosen": g.key_of(response.chosen),
+                "resolution": response.resolution,
+                "raw_output": response.raw_output,
+            }
+            out.write(json.dumps(choice, sort_keys=True) + "\n")
     return 0
 
 
@@ -259,69 +279,40 @@ def _trace_record(trace, g: HetGraph) -> dict:
     }
 
 
-def _cmd_predict(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    sampler_cfg = _sampler_config(config, args)
-    prompt_cfg = _prompt_config(config, args)
-    scorer_cfg = _scorer_config(config, args)
+def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
+    sampler_cfg, prompt_cfg, dnc_cfg = cfg["sampler"], cfg["prompt"], cfg["dnc"]
     # one backend for every task, so its cache and session load once
-    scorer = None if args.dry_run else make_scorer(scorer_cfg)
-    dnc_cfg = _dnc_config(config, args)
-    out = _out_stream(args)
+    scorer = None if args.dry_run else make_scorer(cfg["scorer"])
     status = 0
-    for record in _read_task_records(args.tasks):
-        source = g.id_of(record["source_id"])
-        candidates = [g.id_of(c) for c in record["candidate_ids"]]
-        relation = record["relation"]
-        if args.dry_run:
-            anchors = anchors_for(g, (source, *candidates), sampler_cfg)
-            sets = partition(
-                candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
-            )
-            for members in sets:
-                bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
-            continue
-        try:
-            trace = predict(
-                g, source, relation, candidates,
-                sampler_cfg, prompt_cfg, scorer, dnc_cfg,
-            )
-        except PredictionAborted as exc:
-            status = 1
-            out.write(
-                json.dumps(
-                    {"error": str(exc), **_trace_record(exc.trace, g)}, sort_keys=True
+    with _output(args.out) as out:
+        for record in _read_task_records(args.tasks):
+            source = g.id_of(record["source_id"])
+            candidates = [g.id_of(c) for c in record["candidate_ids"]]
+            relation = record["relation"]
+            if args.dry_run:
+                anchors = anchors_for(g, (source, *candidates), sampler_cfg)
+                sets = partition(
+                    candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
                 )
-                + "\n"
-            )
-            continue
-        out.write(json.dumps(_trace_record(trace, g), sort_keys=True) + "\n")
-    if out is not sys.stdout:
-        out.close()
+                for members in sets:
+                    bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
+                    out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
+                continue
+            try:
+                trace = predict(
+                    g, source, relation, candidates,
+                    sampler_cfg, prompt_cfg, scorer, dnc_cfg,
+                )
+            except PredictionAborted as exc:
+                status = 1
+                failed = {"error": str(exc), **_trace_record(exc.trace, g)}
+                out.write(json.dumps(failed, sort_keys=True) + "\n")
+                continue
+            out.write(json.dumps(_trace_record(trace, g), sort_keys=True) + "\n")
     return status
 
 
-def _cmd_gen_train(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    sampler_cfg = _sampler_config(config, args)
-    prompt_cfg = _prompt_config(config, args)
-    section = _merge(
-        config.get("datagen", {}),
-        {
-            "relation": args.relation,
-            "num_examples": args.num,
-            "candidates_per_example": args.candidates_per_example,
-            "negative_policy": args.policy,
-            "rng_seed": args.seed,
-            "split": args.split,
-        },
-    )
-    if args.split_boundaries:
-        section["split_boundaries"] = tuple(
-            float(x) for x in args.split_boundaries.split(",")
-        )
-    cfg = DatagenConfig(**section)
+def _cmd_gen_train(args, g: HetGraph, cfg: dict) -> int:
     node_attr = None
     if args.attr_file:
         node_attr = {}
@@ -334,7 +325,8 @@ def _cmd_gen_train(args, config: dict) -> int:
     counters: dict = {}
     examples = list(
         generate_examples(
-            g, cfg, sampler_cfg, prompt_cfg, node_attr=node_attr, counters=counters
+            g, cfg["datagen"], cfg["sampler"], cfg["prompt"],
+            node_attr=node_attr, counters=counters,
         )
     )
     count = write_examples(args.out, examples, g)
@@ -348,132 +340,84 @@ def _cmd_gen_train(args, config: dict) -> int:
     return 0
 
 
-def _cmd_eval(args, config: dict) -> int:
-    g = _load_graph(config, args)
-    sampler_cfg = _sampler_config(config, args)
-    prompt_cfg = _prompt_config(config, args)
-    scorer_cfg = _scorer_config(config, args)
-    dnc_cfg = _dnc_config(config, args)
+def _cmd_eval(args, g: HetGraph, cfg: dict) -> int:
     tasks = read_tasks(args.tasks, g)
     seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (0,)
     started = time.perf_counter()
     report = run_benchmark(
         tasks, g,
-        sampler_cfg=sampler_cfg, prompt_cfg=prompt_cfg,
-        scorer_cfg=scorer_cfg, dnc_cfg=dnc_cfg, seeds=seeds,
+        sampler_cfg=cfg["sampler"], prompt_cfg=cfg["prompt"],
+        scorer_cfg=cfg["scorer"], dnc_cfg=cfg["dnc"], seeds=seeds,
     )
     elapsed = time.perf_counter() - started
-    try:
-        if tasks:
-            report.validate()
-    except ValueError as exc:
-        logger.error("report failed validation: %s", exc)
-        return 1
-    out = _out_stream(args)
-    out.write(report.to_json() + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        out.write(report.to_json() + "\n")
     print(report.render_table(), file=sys.stderr)
     print(f"evaluated {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
+    if report.failures:
+        logger.error("%d of %d task runs failed", len(report.failures), len(tasks) * len(seeds))
+        return 1
     return 0
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("http_llm", "oracle_truth", "lexical_overlap", "fixed_index"))
-    p.add_argument("--endpoint-url", dest="endpoint_url")
-    p.add_argument("--model")
-    p.add_argument("--api-key-env", dest="api_key_env")
-    p.add_argument("--cache")
-    p.add_argument("--fixed-index", dest="fixed_index", type=int)
-    p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hops", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=("exact_power_iteration", "approximate_push"))
-    p.add_argument("--seed", type=int)
-
-
-def _add_prompt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--token-budget", dest="token_budget", type=int)
-    p.add_argument("--token-estimator", dest="token_estimator",
-                   choices=("chars_div_4", "whitespace"))
+def _add_knobs(parser: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
+    """Add every knob that overrides a key of ``sections``; its help names those keys."""
+    for knob in _KNOBS:
+        keys = [key for key in knob.keys if key.split(".")[0] in sections]
+        if not keys:
+            continue
+        settings = dict(knob.settings)
+        note = f"overrides config {', '.join(keys)}"
+        settings["help"] = f"{settings['help']}; {note}" if "help" in settings else note
+        parser.add_argument(knob.flag, **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lpnl", description=__doc__)
     parser.add_argument("--config", help="JSON config file with per-module sections")
-    parser.add_argument("--nodes", help="node file (tsv)")
-    parser.add_argument("--edges", help="edge file (tsv)")
-    parser.add_argument("--schema", help="schema file (json)")
+    _add_knobs(parser, ("graph",))
     parser.add_argument("--log-level", default="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="emit top-k anchor lists for centers")
+    def command(name, handler, help, sections):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, sections=sections)
+        _add_knobs(p, sections)
+        return p
+
+    p = command("sample", _cmd_sample, "emit top-k anchor lists for centers", ("sampler",))
     p.add_argument("--center", action="append", required=True, help="node id (repeatable)")
-    _add_sampler_flags(p)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("prompt", help="render one prompt per task")
+    p = command("prompt", _cmd_prompt, "render one prompt per task", ("sampler", "prompt"))
     p.add_argument("--tasks", required=True, help="ndjson task file")
-    _add_sampler_flags(p)
-    _add_prompt_flags(p)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_prompt)
 
-    p = sub.add_parser("score", help="score a prompt file with a backend")
+    p = command("score", _cmd_score, "score a prompt file with a backend", ("scorer",))
     p.add_argument("--prompts", required=True, help="ndjson prompt records")
-    _add_scorer_flags(p)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_score)
 
-    p = sub.add_parser("predict", help="run the elimination tournament per task")
+    p = command("predict", _cmd_predict, "run the elimination tournament per task",
+                ("sampler", "prompt", "scorer", "dnc"))
     p.add_argument("--tasks", required=True)
     p.add_argument("--dry-run", action="store_true",
                    help="emit first-round prompts without scoring")
-    p.add_argument("--length-limit", dest="length_limit", type=int)
-    p.add_argument("--grouping", choices=("sequential", "random_seeded"))
-    _add_sampler_flags(p)
-    _add_prompt_flags(p)
-    _add_scorer_flags(p)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_predict)
 
-    p = sub.add_parser("gen-train", help="generate self-supervised training data")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--num", type=int, required=True)
-    p.add_argument("--candidates-per-example", dest="candidates_per_example", type=int)
-    p.add_argument("--policy", choices=("random_same_type", "shared_neighbor"))
-    p.add_argument("--split", choices=("train", "valid", "test"))
-    p.add_argument("--split-boundaries", dest="split_boundaries",
-                   help="comma pair, e.g. 2015,2016")
-    p.add_argument("--attr-file", dest="attr_file",
-                   help="tsv of node_id<TAB>numeric attribute for splits")
+    p = command("gen-train", _cmd_gen_train, "generate self-supervised training data",
+                ("sampler", "prompt", "datagen"))
+    p.add_argument("--attr-file", help="tsv of node_id<TAB>numeric attribute for splits")
     p.add_argument("--audit", action="store_true", help="run the leakage audit after writing")
-    _add_sampler_flags(p)
-    _add_prompt_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_gen_train)
 
-    p = sub.add_parser("eval", help="benchmark a scorer over a task file")
+    p = command("eval", _cmd_eval, "benchmark a scorer over a task file",
+                ("sampler", "prompt", "scorer", "dnc"))
     p.add_argument("--tasks", required=True)
     p.add_argument("--seeds", help="comma-separated seeds, default 0")
-    p.add_argument("--length-limit", dest="length_limit", type=int)
-    p.add_argument("--grouping", choices=("sequential", "random_seeded"))
-    _add_sampler_flags(p)
-    _add_prompt_flags(p)
-    _add_scorer_flags(p)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_eval)
 
     return parser
 
@@ -481,11 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
-    config = _load_config(args.config)
     try:
-        return args.handler(args, config)
+        config = _load_config(args.config)
+        g = _load_graph(config, args)
+        cfg = {name: _section(name, config, args) for name in args.sections}
+        return args.handler(args, g, cfg)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         logger.error("%s", exc)
+        logger.debug("%s failed", args.command, exc_info=True)
         return 1
 
 

@@ -138,11 +138,13 @@ def _draw_negatives(
     """Sample negative candidates of the relation's target type.
 
     ``random_same_type`` draws uniformly over target-type nodes that are
-    not true neighbors. ``shared_neighbor`` prefers target-type nodes two
-    hops from the source (the hard negatives a disambiguation task sees),
-    topping up uniformly when there are too few.
+    not true neighbors. ``shared_neighbor`` prefers target-type nodes within
+    three hops of the source (the hard negatives a disambiguation task
+    sees), topping up uniformly when there are too few; with no such
+    nodes it is the uniform draw.
     """
     exclude = _true_neighbors(g, source, relation) | {source, truth}
+    near: set[int] = set()
     if policy == "shared_neighbor":
         # target-type nodes within 3 hops of the source: the candidates that
         # co-occur with its neighborhood (for a bipartite relation the other
@@ -154,25 +156,18 @@ def _draw_negatives(
             ball |= nxt
             frontier = sorted(nxt)
         near = {w for w in ball if w in target_pool_set and w not in exclude}
-        pool = sorted(near)
-        if len(pool) >= count:
-            picked = rng.choice(len(pool), size=count, replace=False)
-            return [pool[i] for i in sorted(picked)]
-        extras = [v for v in target_pool if v not in exclude and v not in near]
-        if len(extras) < count - len(pool):
-            raise InsufficientEdgesError(
-                f"cannot draw {count} negatives for source {source}: "
-                f"{len(pool) + len(extras)} available"
-            )
-        fill = rng.choice(len(extras), size=count - len(pool), replace=False)
-        return pool + [extras[i] for i in sorted(fill)]
-    pool = [v for v in target_pool if v not in exclude]
-    if len(pool) < count:
+    pool = sorted(near)
+    if len(pool) >= count:
+        picked = rng.choice(len(pool), size=count, replace=False)
+        return [pool[i] for i in sorted(picked)]
+    extras = [v for v in target_pool if v not in exclude and v not in near]
+    if len(extras) < count - len(pool):
         raise InsufficientEdgesError(
-            f"cannot draw {count} negatives for source {source}: {len(pool)} available"
+            f"cannot draw {count} negatives for source {source}: "
+            f"{len(pool) + len(extras)} available"
         )
-    picked = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(picked)]
+    fill = rng.choice(len(extras), size=count - len(pool), replace=False)
+    return pool + [extras[i] for i in sorted(fill)]
 
 
 def generate_examples(

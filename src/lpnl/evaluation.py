@@ -257,8 +257,7 @@ def run_benchmark(
         if per_seed[seed]
     ]
     if not seed_means:
-        report = _empty_report(seeds)
-        return replace(report, failures=tuple(failures))
+        return replace(_empty_report(seeds), tasks=len(tasks), failures=tuple(failures))
 
     def agg(i: int) -> tuple[float, float]:
         values = [m[i] for m in seed_means]

@@ -51,6 +51,7 @@ __all__ = [
 
 RELATED_WITH = " is related with "
 SHRINK_STEP = 5
+TOKEN_ESTIMATORS = ("chars_div_4", "whitespace")
 
 DEFAULT_QUESTION = (
     "Which following candidate {target_type} is linked to the "
@@ -95,10 +96,7 @@ class PromptConfig:
     def __post_init__(self):
         if self.token_budget < 64:
             raise ValueError("token_budget must be at least 64")
-        if isinstance(self.token_estimator, str) and self.token_estimator not in (
-            "chars_div_4",
-            "whitespace",
-        ):
+        if isinstance(self.token_estimator, str) and self.token_estimator not in TOKEN_ESTIMATORS:
             raise ValueError(f"unknown token estimator {self.token_estimator!r}")
         # newlines separate prompt segments; normalization strips them from node text
         if "\n" in self.anchor_separator:
@@ -303,6 +301,11 @@ def build_prompt(
     if not candidates:
         raise ValueError("candidates must be non-empty")
     relation = g.edge_type(relation)
+    stype = g.type_of(source).name
+    if stype != relation.source_type:
+        raise ValueError(
+            f"source {source} has type {stype!r}, expected {relation.source_type!r}"
+        )
     for c in candidates:
         ctype = g.type_of(c).name
         if ctype != relation.target_type:

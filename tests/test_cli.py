@@ -1,6 +1,10 @@
+import gc
 import json
+import logging
+import socket
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +212,52 @@ def test_eval_empty_task_file(cli_graph, tmp_path):
     assert code == 0
     report = json.loads(open(out).read())
     assert report["tasks"] == 0
+
+
+def test_eval_exits_1_when_every_task_fails(cli_graph, tmp_path):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, with_truth=True)
+    # a loopback port that was bound and then closed refuses connections
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    out = str(tmp_path / "report.json")
+    code = main(flags + [
+        "eval", "--tasks", tasks, "--backend", "http_llm",
+        "--endpoint-url", f"http://127.0.0.1:{port}/complete", "--model", "m",
+        "--max-retries", "1", "--hops", "1", "--k", "2", "--out", out,
+    ])
+    assert code == 1
+    report = json.loads(open(out).read())
+    assert report["tasks"] == 3
+    assert len(report["failures"]) == 3
+    assert report["rows"] == []
+
+
+def test_out_file_closed_when_handler_fails(cli_graph, tmp_path):
+    _, flags = cli_graph
+    out = str(tmp_path / "anchors.ndjson")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(flags + [
+            "sample", "--center", "p0", "--center", "does-not-exist", "--out", out,
+        ])
+        gc.collect()
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert [r["center"] for r in read_ndjson(out)] == ["p0"]
+
+
+def test_error_traceback_logged_at_debug(cli_graph, caplog):
+    _, flags = cli_graph
+    caplog.set_level(logging.DEBUG, logger="lpnl")
+    code = main(flags + ["--log-level", "DEBUG", "sample", "--center", "does-not-exist"])
+    assert code == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "does-not-exist" in errors[0].getMessage()
+    debug = [r for r in caplog.records if r.levelno == logging.DEBUG and r.exc_info]
+    assert len(debug) == 1
+    assert "Traceback" in caplog.text and "_cmd_sample" in caplog.text
 
 
 def test_config_file_with_flag_override(cli_graph, tmp_path):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import (
     BudgetUnsatisfiableError,
@@ -129,6 +131,15 @@ def test_build_prompt_type_mismatch():
         build_prompt(
             g.id_of("p0"), "authored_by", [g.id_of("p1")], anchors, g, PromptConfig()
         )
+
+
+def test_build_prompt_source_type_mismatch():
+    # "writes" runs from an author; the venue v1 must not be asked about as one
+    g = helpers.toy_graph()
+    v1 = g.id_of("v1")
+    anchors = {v: AnchorList(v, ()) for v in range(len(g))}
+    with pytest.raises(ValueError, match=f"source {v1} has type 'venue', expected 'author'"):
+        build_prompt(v1, "writes", [g.id_of("p1"), g.id_of("p2")], anchors, g, PromptConfig())
 
 
 def test_build_prompt_empty_candidates():
