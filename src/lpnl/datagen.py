@@ -81,6 +81,16 @@ class DatagenConfig:
             raise ValueError(f"split must be one of {SPLITS}")
         if (self.split is None) != (self.split_boundaries is None):
             raise ValueError("split and split_boundaries must be given together")
+        if self.split_boundaries is not None:
+            try:
+                train_upto, valid_upto = (float(b) for b in self.split_boundaries)
+            except (TypeError, ValueError):
+                train_upto = valid_upto = float("nan")
+            if not train_upto < valid_upto:
+                raise ValueError("split_boundaries must be two ascending numbers "
+                                 f"(train_upto, valid_upto), got {self.split_boundaries!r}")
+            # a config file's list becomes the tuple the field declares
+            object.__setattr__(self, "split_boundaries", (train_upto, valid_upto))
 
 
 @dataclass(frozen=True)

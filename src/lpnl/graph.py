@@ -19,9 +19,12 @@ and ``edge_types`` (each ``{name, source, target}``).
 
 Node ids in files are arbitrary strings; they are mapped to dense
 integers at load so adjacency can live in flat arrays. Every edge is
-traversable from both endpoints (walk semantics); the declared
-source/target orientation is kept so that masks and relations stay
-well defined.
+traversable from both endpoints (walk semantics): one undirected CSR,
+``indptr`` plus ``neighbors`` (int32, each row ascending), holds each
+stored edge in the rows of both endpoints, and ``kinds`` (int8; int32
+past 64 edge types) keeps the declared orientation that masks and
+relations need: ``2 * i`` for the schema's ``i``-th edge type, plus 1 in
+the row of the stored target. Every traversal reads this one store.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import bisect
 import json
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -153,35 +157,6 @@ class EdgeMask:
         return self._triples
 
 
-@dataclass
-class _TypedAdjacency:
-    """Per-edge-type adjacency in CSR form, stored in both orientations."""
-
-    fwd_indptr: np.ndarray
-    fwd_indices: np.ndarray
-    rev_indptr: np.ndarray
-    rev_indices: np.ndarray
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.fwd_indices[self.fwd_indptr[v] : self.fwd_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
-
-    @classmethod
-    def from_pairs(cls, n: int, sources: list[int], targets: list[int]) -> _TypedAdjacency:
-        """Both CSR orientations of the distinct (source, target) pairs, rows sorted."""
-        # identical edge lines collapse to one stored edge; np.unique also
-        # sorts the pairs by source, then target
-        packed = np.asarray(sources, dtype=np.int64) * n + np.asarray(targets, dtype=np.int64)
-        u, v = np.divmod(np.unique(packed), max(n, 1))
-
-        def indptr(rows: np.ndarray) -> np.ndarray:
-            return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-        return cls(indptr(u), v, indptr(v), u[np.lexsort((u, v))])
-
-
 class HetGraph:
     """Typed-node, typed-edge graph, immutable after construction.
 
@@ -231,9 +206,10 @@ class HetGraph:
             self._texts.append(clean)
             self._type_of.append(nt)
 
-        n = len(self.keys)
-        sources: dict[str, list[int]] = {et.name: [] for et in edge_types}
-        targets: dict[str, list[int]] = {et.name: [] for et in edge_types}
+        # position of each edge type in the schema; an entry's kind is twice it
+        self._type_index: dict[str, int] = {name: i for i, name in enumerate(self.edge_types)}
+        sources, targets = array("i"), array("i")
+        source_kinds = array("b" if len(self.edge_types) <= 64 else "i")
         for src_key, dst_key, t_name in edges:
             et = self.edge_types.get(t_name)
             if et is None:
@@ -249,16 +225,14 @@ class HetGraph:
                     f"edge ({src_key!r}, {dst_key!r}, {t_name!r}) violates its meta-relation "
                     f"<{et.source_type}, {t_name}, {et.target_type}>"
                 )
-            sources[t_name].append(u)
-            targets[t_name].append(v)
+            sources.append(u)
+            targets.append(v)
+            source_kinds.append(2 * self._type_index[t_name])
 
-        self._adj: dict[str, _TypedAdjacency] = {
-            t_name: _TypedAdjacency.from_pairs(n, sources[t_name], targets[t_name])
-            for t_name in self.edge_types
-        }
-        self._deg_total = np.zeros(n, dtype=np.int64)
-        for adj in self._adj.values():
-            self._deg_total += np.diff(adj.fwd_indptr) + np.diff(adj.rev_indptr)
+        self._indptr, self._neighbors, self._kinds = _undirected_csr(
+            len(self.keys), 2 * len(self.edge_types), sources, targets, source_kinds
+        )
+        self._degree = np.diff(self._indptr)
 
         if _source:
             logger.info("loaded graph from %s: %s", _source, self.summary())
@@ -270,7 +244,8 @@ class HetGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(adj.fwd_indices) for adj in self._adj.values())
+        # every stored edge has one entry in the row of each endpoint
+        return len(self._neighbors) // 2
 
     def node(self, v: int) -> Node:
         self._check_node(v)
@@ -307,24 +282,27 @@ class HetGraph:
 
     def has_edge(self, u: int, v: int, t: EdgeType | str) -> bool:
         """Whether (u, v) is a stored edge of type ``t`` in that orientation."""
-        adj = self._adj[self.edge_type(t).name]
+        kind = 2 * self._type_index[self.edge_type(t).name]
         if not (0 <= u < len(self.keys) and 0 <= v < len(self.keys)):
             return False
-        # binary search of u's row; rows hold targets in ascending order
-        end = int(adj.fwd_indptr[u + 1])
-        i = bisect.bisect_left(adj.fwd_indices, v, int(adj.fwd_indptr[u]), end)
-        return i < end and bool(adj.fwd_indices[i] == v)
+        # binary search of u's row for the entries of v, then their kinds
+        lo, hi = int(self._indptr[u]), int(self._indptr[u + 1])
+        first = bisect.bisect_left(self._neighbors, v, lo, hi)
+        last = bisect.bisect_right(self._neighbors, v, first, hi)
+        return kind in self._kinds[first:last].tolist()
 
     def edges_of_type(self, t: EdgeType | str) -> list[tuple[int, int]]:
         """Stored (source, target) pairs of one edge type, in sorted order."""
-        adj = self._adj[self.edge_type(t).name]
-        # CSR rows hold each source's targets in ascending order
-        sources = np.repeat(np.arange(len(self.keys)), np.diff(adj.fwd_indptr))
-        return list(zip(sources.tolist(), adj.fwd_indices.tolist()))
+        kind = 2 * self._type_index[self.edge_type(t).name]
+        # the source's entries: rows ascend, and so do the targets in a row
+        at = np.flatnonzero(self._kinds == kind)
+        sources = np.searchsorted(self._indptr, at, side="right") - 1
+        return list(zip(sources.tolist(), self._neighbors[at].tolist()))
 
     def summary(self) -> dict:
         node_counts = {name: len(ids) for name, ids in self._nodes_of_type.items()}
-        edge_counts = {name: len(adj.fwd_indices) for name, adj in self._adj.items()}
+        per_kind = np.bincount(self._kinds, minlength=2 * len(self.edge_types))
+        edge_counts = dict(zip(self.edge_types, per_kind[::2].tolist()))
         return {"nodes": len(self.keys), "edges": self.num_edges,
                 "node_types": node_counts, "edge_types": edge_counts}
 
@@ -359,29 +337,21 @@ class HetGraph:
 
     # -- traversal ----------------------------------------------------------
 
-    def _neighbors_resolved(
-        self, v: int, et: EdgeType, resolved: frozenset[tuple[int, int, str]]
-    ) -> list[int]:
-        adj = self._adj[et.name]
-        v_type = self._type_of[v].name
-        parts: list[np.ndarray] = []
-        if v_type == et.source_type:
-            parts.append(adj.out_neighbors(v))
-        if v_type == et.target_type:
-            parts.append(adj.in_neighbors(v))
-        if not parts:
-            return []
-        merged = np.sort(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-        result = merged.tolist()
-        if resolved:
-            for mu, mv, mt in resolved:
-                if mt != et.name:
-                    continue
+    def _row(self, v: int, t_name: str | None, resolved: frozenset) -> list[int]:
+        """``v``'s neighbors, of type ``t_name`` unless None, minus masked edges."""
+        lo, hi = self._indptr[v], self._indptr[v + 1]
+        out = self._neighbors[lo:hi].tolist()
+        if t_name is not None:
+            index = self._type_index[t_name]
+            out = [w for w, kind in zip(out, self._kinds[lo:hi].tolist()) if kind >> 1 == index]
+        # a resolved edge is stored, so each endpoint's row holds the other once
+        for mu, mv, mt in resolved:
+            if t_name is None or mt == t_name:
                 if mu == v:
-                    _remove_one(result, mv)
+                    out.remove(mv)
                 if mv == v:
-                    _remove_one(result, mu)
-        return result
+                    out.remove(mu)
+        return out
 
     def neighbors(
         self, v: int, t: EdgeType | str, mask: EdgeMask | None = None
@@ -393,31 +363,16 @@ class HetGraph:
         same-typed relation sees both. Masked edges are omitted.
         """
         self._check_node(v)
-        return self._neighbors_resolved(v, self.edge_type(t), self.resolve_mask(mask))
+        return self._row(v, self.edge_type(t).name, self.resolve_mask(mask))
 
     def all_neighbors(self, v: int, mask: EdgeMask | None = None) -> list[int]:
         """Sorted neighbors of ``v`` across every edge type (multiset)."""
         self._check_node(v)
-        resolved = self.resolve_mask(mask)
-        out: list[int] = []
-        for et in self.edge_types.values():
-            out.extend(self._neighbors_resolved(v, et, resolved))
-        out.sort()
-        return out
-
-    def _degree_resolved(self, v: int, resolved: frozenset[tuple[int, int, str]]) -> int:
-        deg = int(self._deg_total[v])
-        for mu, mv, _ in resolved:
-            if mu == v:
-                deg -= 1
-            if mv == v:
-                deg -= 1
-        return deg
+        return self._row(v, None, self.resolve_mask(mask))
 
     def degree(self, v: int, mask: EdgeMask | None = None) -> int:
         """Total incident edge count across all edge types, minus masked edges."""
-        self._check_node(v)
-        return self._degree_resolved(v, self.resolve_mask(mask))
+        return int(self.degrees([v], mask)[0])
 
     def degrees(self, nodes: Sequence[int], mask: EdgeMask | None = None) -> np.ndarray:
         """:meth:`degree` of each node, in order; the first unknown id raises."""
@@ -427,7 +382,7 @@ class HetGraph:
         if len(nodes) and (min(nodes) < 0 or max(nodes) >= n):
             raise UnknownNodeError(next(v for v in nodes if not 0 <= v < n))
         ids = np.asarray(nodes, dtype=np.int64)
-        degs = self._deg_total[ids]
+        degs = self._degree[ids]
         # a mask holds a few edges; each takes one from both its endpoints
         for mu, mv, _ in self.resolve_mask(mask):
             degs -= ids == mu
@@ -440,21 +395,51 @@ class HetGraph:
         """All stored edges with both endpoints in ``vertex_set``, mask applied."""
         members = set(vertex_set)
         resolved = self.resolve_mask(mask)
-        out: list[tuple[int, int, str]] = []
-        for t_name in self.edge_types:
-            adj = self._adj[t_name]
-            for u in sorted(members):
-                for w in adj.out_neighbors(u).tolist():
-                    if w in members and (u, w, t_name) not in resolved:
-                        out.append((u, w, t_name))
-        return out
+        names = list(self.edge_types)
+        # one pass over the members' rows; the buckets keep the schema's type order
+        by_type: list[list[tuple[int, int, str]]] = [[] for _ in names]
+        for u in sorted(members):
+            lo, hi = self._indptr[u], self._indptr[u + 1]
+            for w, kind in zip(self._neighbors[lo:hi].tolist(), self._kinds[lo:hi].tolist()):
+                # an even kind is the entry in the stored source's row
+                if not kind & 1 and w in members:
+                    edge = (u, w, names[kind >> 1])
+                    if edge not in resolved:
+                        by_type[kind >> 1].append(edge)
+        return [edge for edges in by_type for edge in edges]
 
 
-def _remove_one(values: list[int], item: int) -> None:
-    try:
-        values.remove(item)
-    except ValueError:
-        pass
+def _undirected_csr(
+    n: int, n_kinds: int, sources: array, targets: array, source_kinds: array
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``indptr``, ``neighbors`` and ``kinds`` of the distinct stored edges.
+
+    ``source_kinds`` holds each edge's kind in its source's row; the entry
+    in the target's row is that kind plus 1.
+    """
+    m = len(sources)
+    # one int64 key per entry orders the rows, each row by neighbor then
+    # kind; one in-place sort also makes identical edge lines adjacent
+    key = np.empty(2 * m, dtype=np.int64)
+    for half, rows, cols, side in ((key[:m], sources, targets, 0), (key[m:], targets, sources, 1)):
+        half[:] = np.asarray(rows)
+        half *= n
+        half += np.asarray(cols)
+        half *= n_kinds
+        half += np.asarray(source_kinds)
+        half += side
+    key.sort()
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        key = key[first]  # identical edge lines collapse to one stored edge
+    kinds = np.empty(len(key), dtype=np.asarray(source_kinds).dtype)
+    np.remainder(key, n_kinds, out=kinds, casting="unsafe")
+    key //= n_kinds
+    neighbors = np.empty(len(key), dtype=np.int32)
+    np.remainder(key, n, out=neighbors, casting="unsafe")
+    key //= n
+    return np.searchsorted(key, np.arange(n + 1)), neighbors, kinds
 
 
 # -- loading / saving -------------------------------------------------------

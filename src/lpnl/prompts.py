@@ -375,10 +375,6 @@ class ParsedPrompt:
     source_segment: str
     candidate_segments: tuple[str, ...]
 
-    @property
-    def source_own_text(self) -> str:
-        return _own_text(self.source_segment)
-
     def candidate_own_texts(self) -> tuple[str, ...]:
         return tuple(_own_text(seg) for seg in self.candidate_segments)
 

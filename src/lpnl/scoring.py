@@ -166,12 +166,10 @@ def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
 # -- response cache -----------------------------------------------------------
 
 
-def prompt_hash(prompt_text: str, model_name: str) -> str:
-    h = hashlib.sha256()
-    h.update(model_name.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(prompt_text.encode("utf-8"))
-    return h.hexdigest()
+def prompt_hash(prompt_text: str, model_name: str, max_output_tokens: int) -> str:
+    """Cache key of a request: every field of the request body shapes the answer."""
+    text = f"{model_name}\x00{max_output_tokens}\x00{prompt_text}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
@@ -331,7 +329,7 @@ class HttpLlmScorer:
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
         bundle = request.bundle
-        key = prompt_hash(bundle.text, self.cfg.model_name or "")
+        key = prompt_hash(bundle.text, self.cfg.model_name or "", self.cfg.max_output_tokens)
         if self.cache is not None:
             hit = self.cache.lookup(key)
             if hit is not None:

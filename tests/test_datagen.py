@@ -254,3 +254,15 @@ def test_config_validation():
         DatagenConfig(relation="r", negative_policy="antonyms")
     with pytest.raises(ValueError):
         DatagenConfig(relation="r", split="train")  # boundaries missing
+
+
+@pytest.mark.parametrize("boundaries", [(2015.0,), (2016.0, 2015.0)])
+def test_split_boundaries_must_be_an_ascending_pair(boundaries):
+    with pytest.raises(ValueError, match="split_boundaries"):
+        DatagenConfig(relation="authored_by", split="valid", split_boundaries=boundaries)
+
+
+def test_split_boundaries_list_becomes_float_tuple():
+    cfg = DatagenConfig(relation="authored_by", split="valid", split_boundaries=[2015, 2016])
+    assert cfg.split_boundaries == (2015.0, 2016.0)
+    assert all(type(b) is float for b in cfg.split_boundaries)

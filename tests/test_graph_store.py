@@ -1,10 +1,10 @@
-"""Differential tests of the CSR edge store against a set-based reference.
+"""Differential tests of the undirected CSR edge store against a set-based reference.
 
 The reference below is the edge store the graph used to keep: one Python
 set of ``(source, target)`` pairs per edge type, filled line by line from
-the edge file, with CSR arrays filled by per-edge loops. Every structure
-the graph exposes must equal what the reference derives from the same
-files.
+the edge file, walked by per-type loops over both orientations. Every
+traversal the graph exposes must equal what the reference derives from
+the same files.
 """
 
 import random
@@ -30,6 +30,13 @@ class SetReference:
         with open(node_file, encoding="utf-8") as fh:
             for v, line in enumerate(fh):
                 self.types[line.split("\t")[1]].append(v)
+        # per type: the targets of each source and the sources of each target
+        self.out = {t: {} for t in self.pairs}
+        self.inn = {t: {} for t in self.pairs}
+        for t_name, pairs in self.pairs.items():
+            for u, v in pairs:
+                self.out[t_name].setdefault(u, []).append(v)
+                self.inn[t_name].setdefault(v, []).append(u)
 
     def has_edge(self, u, v, t_name):
         return (u, v) in self.pairs[t_name]
@@ -48,17 +55,22 @@ class SetReference:
                 resolved.add((v, u, t_name))
         return frozenset(resolved)
 
-    def csr(self, keyed):
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for a, _ in keyed:
-            indptr[a + 1] += 1
-        np.cumsum(indptr, out=indptr)
-        indices = np.zeros(len(keyed), dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for a, b in sorted(keyed):
-            indices[cursor[a]] = b
-            cursor[a] += 1
-        return indptr, indices
+    def neighbors(self, v, t_name, resolved=frozenset()):
+        found = [w for w in self.out[t_name].get(v, ()) if (v, w, t_name) not in resolved]
+        found += [u for u in self.inn[t_name].get(v, ()) if (u, v, t_name) not in resolved]
+        return sorted(found)
+
+    def all_neighbors(self, v, resolved=frozenset()):
+        return sorted(w for t_name in self.pairs for w in self.neighbors(v, t_name, resolved))
+
+    def induced_edges(self, members, resolved=frozenset()):
+        return [
+            (u, v, t_name)
+            for t_name, out in self.out.items()
+            for u in sorted(members)
+            for v in sorted(out.get(u, ()))
+            if v in members and (u, v, t_name) not in resolved
+        ]
 
     def degrees(self):
         deg = np.zeros(self.n, dtype=np.int64)
@@ -83,22 +95,33 @@ def _saved_files(tmp_path, n_topics):
     return paths
 
 
+def _assert_rows_match(g, ref, nodes, mask=None):
+    resolved = ref.resolve_mask(mask)
+    for v in nodes:
+        assert g.all_neighbors(v, mask) == ref.all_neighbors(v, resolved), v
+        for t_name in ref.pairs:
+            assert g.neighbors(v, t_name, mask) == ref.neighbors(v, t_name, resolved), (v, t_name)
+
+
+def _vertex_set(ref, rng, n):
+    """A center's ball of up to ~120 nodes plus a few random nodes."""
+    members = {int(rng.integers(n))}
+    frontier = list(members)
+    while frontier and len(members) < 120:
+        frontier = [w for u in frontier for w in ref.all_neighbors(u) if w not in members][:60]
+        members.update(frontier)
+    members.update(int(x) for x in rng.integers(0, n, size=10))
+    return members
+
+
 def _assert_matches_reference(g, ref, rng):
     n = len(g)
     assert g.summary() == ref.summary()
     for name, ids in ref.types.items():
         assert g.nodes_of_type(name) == ids
     np.testing.assert_array_equal(g.degrees(range(n)), ref.degrees())
+    _assert_rows_match(g, ref, range(n))
     for t_name, pairs in ref.pairs.items():
-        adj = g._adj[t_name]
-        fwd_indptr, fwd_indices = ref.csr(list(pairs))
-        rev_indptr, rev_indices = ref.csr([(v, u) for u, v in pairs])
-        for got, want in (
-            (adj.fwd_indptr, fwd_indptr), (adj.fwd_indices, fwd_indices),
-            (adj.rev_indptr, rev_indptr), (adj.rev_indices, rev_indices),
-        ):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
         assert g.edges_of_type(t_name) == sorted(pairs)
 
         probes = list(pairs) + [(v, u) for u, v in pairs]
@@ -122,6 +145,20 @@ def _assert_matches_reference(g, ref, rng):
             want[u] -= 1
             want[v] -= 1
         np.testing.assert_array_equal(g.degrees(range(n), mask), want)
+        # every row a mask can change, and a sample of the rows it cannot
+        touched = {x for u, v, _ in triples for x in (u, v) if 0 <= x < n}
+        _assert_rows_match(g, ref, sorted(touched) + rng.integers(0, n, size=200).tolist(), mask)
+
+    # induced edges of sampled balls, unmasked and with a mask hiding some of them
+    for _ in range(30):
+        members = _vertex_set(ref, rng, n)
+        inside = ref.induced_edges(members)
+        assert g.induced_edges(members) == inside
+        triples = [inside[int(i)] for i in rng.integers(0, len(inside), size=3)] if inside else []
+        triples += [(v, u, t) for u, v, t in triples[:1]]
+        triples += [every[int(i)] for i in rng.integers(0, len(every), size=2)]
+        mask = EdgeMask(triples)
+        assert g.induced_edges(members, mask) == ref.induced_edges(members, ref.resolve_mask(mask))
 
 
 @pytest.mark.parametrize("n_topics", [40, 400])

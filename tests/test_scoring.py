@@ -171,8 +171,9 @@ def test_cache_skips_corrupt_lines(tmp_path):
 
 
 def test_prompt_hash_distinguishes_model():
-    assert prompt_hash("same prompt", "model-a") != prompt_hash("same prompt", "model-b")
-    assert prompt_hash("same prompt", "model-a") == prompt_hash("same prompt", "model-a")
+    assert prompt_hash("same prompt", "model-a", 64) != prompt_hash("same prompt", "model-b", 64)
+    assert prompt_hash("same prompt", "model-a", 64) == prompt_hash("same prompt", "model-a", 64)
+    assert prompt_hash("same prompt", "model-a", 64) != prompt_hash("same prompt", "model-a", 32)
 
 
 # -- HTTP backend ------------------------------------------------------------------
@@ -269,6 +270,21 @@ def test_http_cache_bypasses_network(tmp_path, http_server):
     third = scorer2.score(request_of(bundle))
     assert script.requests_seen == 1
     assert third == first
+
+
+def test_http_cache_keyed_by_output_cap(tmp_path, http_server):
+    # a cap's cached answers never replay for another cap sharing the file
+    url, script = http_server
+    _, bundle = fixture()
+    script.responses = [(200, {"text": bundle.candidate_aliases[2]})]
+    path = str(tmp_path / "shared.jsonl")
+    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=64)).score(request_of(bundle))
+    assert script.requests_seen == 1
+    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=8)).score(request_of(bundle))
+    assert script.requests_seen == 2
+    assert [body["max_output_tokens"] for body in script.bodies] == [64, 8]
+    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=64)).score(request_of(bundle))
+    assert script.requests_seen == 2
 
 
 def test_http_cache_transparent_for_choices(tmp_path, http_server):
