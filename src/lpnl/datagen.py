@@ -7,12 +7,12 @@ random position, and renders the same prompt grammar the predictor
 consumes. The target string is the truth's in-prompt alias plus a text
 prefix, which gives answer resolution an unambiguous token.
 
-While masking is on, the truth node is also withheld from the *source's*
-rendered anchor list: the masked edge already keeps it out of direct
-reach, but on dense graphs the truth can survive into the source's top-k
-through other paths, and a training input that names its own answer
-defeats the point. So is any other anchor that renders like the truth
-(same text, same identifier tag): a twin reads exactly like the answer.
+The truth node is also withheld from the *source's* rendered anchor
+list: the masked edge already keeps it out of direct reach, but on dense
+graphs the truth can survive into the source's top-k through other
+paths, and a training input that names its own answer defeats the point.
+So is any other anchor that renders like the truth (same text, same
+identifier tag): a twin reads exactly like the answer.
 :func:`leakage_audit` enforces exactly this.
 """
 
@@ -187,7 +187,6 @@ def generate_examples(
     prompt_cfg: PromptConfig | None = None,
     node_attr: Mapping[int, float] | None = None,
     counters: dict | None = None,
-    mask_edges: bool = True,
 ) -> Iterator[TrainingExample]:
     """Yield (prompt, answer) training examples for ``cfg.relation``.
 
@@ -195,9 +194,6 @@ def generate_examples(
     and each example derives its own stream from (seed, source, truth).
     Sources whose masked degree is zero are skipped and counted under
     ``counters["skipped_zero_degree"]``.
-
-    ``mask_edges=False`` is a test mode that leaves the truth edge visible
-    to the sampler; it exists so leakage audits have something to catch.
     """
     sampler_cfg = sampler_cfg or SamplerConfig()
     prompt_cfg = prompt_cfg or PromptConfig()
@@ -233,8 +229,7 @@ def generate_examples(
             break
         source, truth = edges[int(edge_index)]
         mask = EdgeMask([(source, truth, relation.name), (truth, source, relation.name)])
-        active_mask = mask if mask_edges else None
-        if g.degree(source, active_mask) == 0:
+        if g.degree(source, mask) == 0:
             if counters is not None:
                 counters["skipped_zero_degree"] += 1
             logger.debug("skipping source %s: masked degree is 0", source)
@@ -248,15 +243,14 @@ def generate_examples(
         candidates = list(negatives)
         candidates.insert(position, truth)
 
-        anchors = anchors_for(g, (source, *candidates), sampler_cfg, active_mask)
-        if mask_edges:
-            truth_look = _rendered_as(g, truth)
-            anchors[source] = replace(
-                anchors[source],
-                entries=tuple(
-                    e for e in anchors[source].entries if _rendered_as(g, e[0]) != truth_look
-                ),
-            )
+        anchors = anchors_for(g, (source, *candidates), sampler_cfg, mask)
+        truth_look = _rendered_as(g, truth)
+        anchors[source] = replace(
+            anchors[source],
+            entries=tuple(
+                e for e in anchors[source].entries if _rendered_as(g, e[0]) != truth_look
+            ),
+        )
 
         bundle = build_prompt(source, relation, candidates, anchors, g, prompt_cfg)
         alias = bundle.candidate_aliases[position]
@@ -292,7 +286,7 @@ def leakage_audit(
 
     For each example the rendered input is parsed back into segments and
     the source description is searched for the truth node's text. Any hit
-    means the masked edge leaked into the sampler (or masking was off).
+    means the truth reached the source's rendered anchors.
     """
     if isinstance(corpus, str):
         corpus = read_examples(corpus, g)

@@ -5,11 +5,13 @@ each hop the candidate frontier is grouped by node type and at most
 ``layer_budget`` nodes per type are drawn without replacement, with
 probability proportional to squared degree normalized within the type
 group. Normalizing within type keeps low-degree node types from being
-drowned out by high-degree ones.
+drowned out by high-degree ones. Each hop reads its candidates' degrees
+with one ``degrees`` call and draws every type group from its slice.
 
 Stage 2 scores every sampled node by personalized PageRank restricted
 to the subgraph, walking edges in both directions, and keeps the top-k
-as the anchor list that later turns structure into text.
+as the anchor list that later turns structure into text. Both PPR modes
+walk the same local adjacency of the subgraph (:meth:`EgoSubgraph.adjacency`).
 """
 
 from __future__ import annotations
@@ -95,14 +97,6 @@ class EgoSubgraph:
             out.extend(layer)
         return tuple(out)
 
-    def hop_of(self, v: int) -> int:
-        if v == self.center:
-            return 0
-        for hop, layer in enumerate(self.layers, start=1):
-            if v in layer:
-                return hop
-        raise UnknownNodeError(v)
-
     def adjacency(self) -> tuple[list[int], list[list[int]]]:
         """Undirected adjacency over the sampled vertex set.
 
@@ -110,15 +104,22 @@ class EgoSubgraph:
         same way as ``nodes``. Edges contribute in both directions; walks
         over the subgraph ignore orientation.
         """
+        order, adj, _ = self._walk_view(self.center)
+        return order, adj
+
+    def _walk_view(self, center: int) -> tuple[list[int], list[list[int]], int]:
+        """:meth:`adjacency` plus ``center``'s position, which must be sampled."""
         order = list(self.nodes)
         index = {v: i for i, v in enumerate(order)}
+        if center not in index:
+            raise UnknownNodeError(center)
         adj: list[list[int]] = [[] for _ in order]
         for u, v, _ in self.induced_edges:
             adj[index[u]].append(index[v])
             adj[index[v]].append(index[u])
         for lst in adj:
             lst.sort()
-        return order, adj
+        return order, adj, index[center]
 
 
 @dataclass(frozen=True)
@@ -158,14 +159,18 @@ def layer_sampling_probs(
             raise ValueError(f"frontier node {v} is not of type {type_name!r}")
     if not members:
         return {}
-    degs = g.degrees(members, mask).astype(np.float64)
+    probs = _squared_degree_probs(g.degrees(members, mask))
+    return {v: float(p) for v, p in zip(members, probs)}
+
+
+def _squared_degree_probs(degrees: np.ndarray) -> np.ndarray:
+    """The stage-1 law for one type group: squared degree over its sum."""
+    degs = degrees.astype(np.float64)
     weights = degs * degs
     total = weights.sum()
     if total <= 0.0:
-        probs = np.full(len(members), 1.0 / len(members))
-    else:
-        probs = weights / total
-    return {v: float(p) for v, p in zip(members, probs)}
+        return np.full(len(degs), 1.0 / len(degs))
+    return weights / total
 
 
 def _draw_without_replacement(
@@ -211,14 +216,16 @@ def sample_subgraph(
             layers.append(())
             frontier = []
             continue
+        degrees = g.degrees(candidates, mask)
+        # positions in ``candidates``, so each group stays sorted by id
         by_type: dict[str, list[int]] = {}
-        for v in candidates:
-            by_type.setdefault(g.type_of(v).name, []).append(v)
+        for i, v in enumerate(candidates):
+            by_type.setdefault(g.type_of(v).name, []).append(i)
         layer: list[int] = []
         for type_name in sorted(by_type):
-            members = by_type[type_name]
-            prob_map = layer_sampling_probs(g, members, type_name, mask)
-            probs = np.array([prob_map[v] for v in members])
+            group = by_type[type_name]
+            members = [candidates[i] for i in group]
+            probs = _squared_degree_probs(degrees[group])
             layer.extend(
                 _draw_without_replacement(rng, members, probs, cfg.layer_budget)
             )
@@ -230,20 +237,17 @@ def sample_subgraph(
     return EgoSubgraph(center=center, layers=tuple(layers), induced_edges=induced)
 
 
-def _walk_matrix(sub: EgoSubgraph, center: int) -> tuple[list[int], np.ndarray]:
+def _walk_matrix(sub: EgoSubgraph, center: int) -> tuple[list[int], np.ndarray, int]:
     """Column-stochastic transition matrix of the subgraph walk.
 
     Column u spreads mass equally over u's subgraph neighbors; a node with
     no subgraph edges sends its mass back to the center so the stationary
-    vector stays a proper distribution.
+    vector stays a proper distribution. Also returns the node order and
+    the center's position in it.
     """
-    order, adj = sub.adjacency()
-    index = {v: i for i, v in enumerate(order)}
-    if center not in index:
-        raise UnknownNodeError(center)
+    order, adj, ci = sub._walk_view(center)
     n = len(order)
     m = np.zeros((n, n), dtype=np.float64)
-    ci = index[center]
     for u, neigh in enumerate(adj):
         if neigh:
             share = 1.0 / len(neigh)
@@ -251,7 +255,7 @@ def _walk_matrix(sub: EgoSubgraph, center: int) -> tuple[list[int], np.ndarray]:
                 m[w, u] += share
         else:
             m[ci, u] = 1.0
-    return order, m
+    return order, m, ci
 
 
 def ppr_exact(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, float]:
@@ -262,11 +266,9 @@ def ppr_exact(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, float]:
     (1 - alpha) per step, so enough steps are taken up front and the
     residual is verified once at the end. Scores sum to 1.
     """
-    order, m = _walk_matrix(sub, center)
-    n = len(order)
-    index = {v: i for i, v in enumerate(order)}
-    e = np.zeros(n)
-    e[index[center]] = 1.0
+    order, m, ci = _walk_matrix(sub, center)
+    e = np.zeros(len(order))
+    e[ci] = 1.0
     beta = 1.0 - alpha
     if beta <= 0.0:
         return {v: float(e[i]) for i, v in enumerate(order)}
@@ -299,12 +301,8 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
     neighbors. On termination the per-node estimate differs from the
     exact score by at most ``push_tolerance * degree(node)``.
     """
-    order, adj = sub.adjacency()
-    index = {v: i for i, v in enumerate(order)}
-    if center not in index:
-        raise UnknownNodeError(center)
+    order, adj, ci = sub._walk_view(center)
     n = len(order)
-    ci = index[center]
     alpha = cfg.alpha
     r_max = cfg.push_tolerance
     estimate = [0.0] * n
@@ -337,7 +335,7 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
             if not in_queue[w] and residual[w] >= threshold[w]:
                 queue.append(w)
                 in_queue[w] = True
-    return {v: estimate[index[v]] for v in order}
+    return dict(zip(order, estimate))
 
 
 def top_k_anchors(

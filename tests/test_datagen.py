@@ -6,14 +6,15 @@ import helpers
 from lpnl.datagen import (
     DatagenConfig,
     InsufficientEdgesError,
+    TrainingExample,
     generate_examples,
     leakage_audit,
     read_examples,
     write_examples,
 )
 from lpnl.graph import EdgeMask, EdgeType, HetGraph, NodeType
-from lpnl.prompts import PromptConfig, parse_prompt
-from lpnl.sampling import SamplerConfig, top_k_anchors
+from lpnl.prompts import PromptConfig, build_prompt, parse_prompt
+from lpnl.sampling import SamplerConfig, anchors_for, top_k_anchors
 
 FAST = SamplerConfig(hops=1, layer_budget=3, anchor_k=3, rng_seed=0)
 PROMPT = PromptConfig()
@@ -129,14 +130,31 @@ def test_leakage_audit_clean_on_masked_corpus():
 
 
 def test_leakage_audit_catches_unmasked_corpus():
-    # sources with >= 2 edges survive the zero-degree skip while the truth,
-    # as a 1-hop neighbor, dominates the unmasked anchor ranking
+    # built without the mask, the truth is a 1-hop neighbor of the source and
+    # often one of its two anchors; the audit must flag exactly those examples
     g = helpers.authorship_graph(n_papers=50, n_authors=10, authors_per_paper=3)
-    cfg = DatagenConfig(relation="authored_by", num_examples=25, rng_seed=8)
-    wide = SamplerConfig(hops=1, layer_budget=16, anchor_k=16, rng_seed=0)
-    corpus = list(generate_examples(g, cfg, wide, PROMPT, mask_edges=False))
+    narrow = SamplerConfig(hops=1, layer_budget=16, anchor_k=2, rng_seed=0)
+    rng = np.random.default_rng(8)
+    edges = g.edges_of_type("authored_by")
+    authors = g.nodes_of_type("author")
+    corpus = []
+    for i in rng.permutation(len(edges))[:25]:
+        source, truth = edges[int(i)]
+        negative = next(
+            int(a) for a in rng.permutation(authors) if not g.has_edge(source, int(a), "authored_by")
+        )
+        anchors = anchors_for(g, (source, truth, negative), narrow)
+        bundle = build_prompt(source, "authored_by", [truth, negative], anchors, g, PROMPT)
+        corpus.append(TrainingExample(bundle.text, "", source, truth, (negative,), 0))
+    # line 0 is the question, line 1 the source
+    leaked = [
+        i for i, e in enumerate(corpus)
+        if f": {g.text(e.truth_id)} [AU]" in e.input_text.split("\n")[1]
+    ]
+    assert 0 < len(leaked) < len(corpus)
     report = leakage_audit(corpus, g)
-    assert len(report.violations) > 0
+    assert report.examples_scanned == len(corpus)
+    assert [v["index"] for v in report.violations] == leaked
 
 
 def test_same_text_twin_of_truth_is_withheld():

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import helpers
-from lpnl.graph import EdgeMask
+from lpnl.graph import EdgeMask, UnknownNodeError
 from lpnl.sampling import (
     SamplerConfig,
     layer_sampling_probs,
@@ -73,7 +73,6 @@ def test_path_layers_forced():
     cfg = SamplerConfig(hops=2, layer_budget=16, anchor_k=5)
     sub = sample_subgraph(g, g.id_of("a"), cfg)
     assert sub.layers == ((g.id_of("b"),), (g.id_of("c"),))
-    assert sub.hop_of(g.id_of("c")) == 2
 
 
 def test_star_sampling_uniform_marginals():
@@ -233,6 +232,19 @@ def test_ppr_top_k_sets_agree_with_oracle():
         top_approx = {v for v, _ in sorted(approx.items(), key=lambda kv: (-kv[1], kv[0]))[:10]}
         top_oracle = {v for v, _ in sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))[:10]}
         assert top_approx == top_oracle
+
+
+def test_ppr_center_outside_subgraph_raises():
+    g = helpers.path_graph("abc")
+    sub = _full_subgraph(g, g.id_of("a"), hops=1)
+    # c is a graph node that was not sampled; len(g) is no node at all
+    for center in (g.id_of("c"), len(g)):
+        with pytest.raises(UnknownNodeError) as excinfo:
+            ppr_exact(sub, center, 0.15)
+        assert excinfo.value.args == (center,)
+        with pytest.raises(UnknownNodeError) as excinfo:
+            ppr_approx(sub, center, SamplerConfig())
+        assert excinfo.value.args == (center,)
 
 
 # -- anchor lists ---------------------------------------------------------------
