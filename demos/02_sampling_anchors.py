@@ -29,7 +29,7 @@ print("induced edges:", len(sub.induced_edges))
 exact = ppr_exact(sub, paper, alpha=0.15)
 push = ppr_approx(sub, paper, SamplerConfig(push_tolerance=1e-6))
 worst = max(abs(exact[v] - push[v]) for v in exact)
-print(f"\npower iteration vs forward push, max abs difference: {worst:.2e}")
+print(f"\nexact solve vs forward push, max abs difference: {worst:.2e}")
 
 anchors = top_k_anchors(g, paper, cfg)
 print(f"\ntop {len(anchors)} anchors for {g.key_of(paper)}:")

@@ -12,13 +12,14 @@ Stage 2 scores every sampled node by personalized PageRank restricted
 to the subgraph, walking edges in both directions, and keeps the top-k
 as the anchor list that later turns structure into text. Both PPR modes
 walk the same local adjacency of the subgraph (:meth:`EgoSubgraph.adjacency`).
+Rankings count scores within ``TIE_EPS`` as ties, ordered by node id.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 PPR_MODES = ("exact_power_iteration", "approximate_push")
+
+# above the ~1e-11 rounding noise between structurally equal PPR scores
+TIE_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,9 @@ class EgoSubgraph:
 class AnchorList:
     """Top-k subgraph nodes for a center, ranked by PPR score.
 
-    ``center_score`` is the PPR mass retained at the center itself; it is
-    not an entry but is kept as a deterministic tie-break key for rankings.
+    Entries follow the tie rule (:func:`_rank_by_score`). ``center_score``
+    is the PPR mass retained at the center itself; it is not an entry but
+    is kept as a tie-break key for rankings, under the same rule.
     """
 
     center: int
@@ -259,36 +264,20 @@ def _walk_matrix(sub: EgoSubgraph, center: int) -> tuple[list[int], np.ndarray, 
 
 
 def ppr_exact(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, float]:
-    """Personalized PageRank on the subgraph by power iteration.
+    """Personalized PageRank on the subgraph by one dense linear solve.
 
-    Iterates ``pi <- alpha * e_center + (1 - alpha) * M @ pi`` to an L1
-    fixed-point residual below 1e-10. Successive iterates contract by
-    (1 - alpha) per step, so enough steps are taken up front and the
-    residual is verified once at the end. Scores sum to 1.
+    Solves ``(I - (1 - alpha) M) pi = alpha * e_center`` (Jeh & Widom,
+    WWW 2003), nonsingular for ``alpha`` in (0, 1]. Scores sum to 1 and are
+    within 1e-10 at every node of power iteration run to an L1 residual
+    below 1e-10; that gap can reorder structurally tied nodes, so rankings
+    apply the tie rule (``TIE_EPS``).
     """
     order, m, ci = _walk_matrix(sub, center)
-    e = np.zeros(len(order))
-    e[ci] = 1.0
-    beta = 1.0 - alpha
-    if beta <= 0.0:
-        return {v: float(e[i]) for i, v in enumerate(order)}
-    # delta after t steps is at most 2 * beta^t; aim below 1e-10 / 2
-    steps = max(1, math.ceil(math.log(2.5e-11) / math.log(beta)))
-    alpha_e = alpha * e
-    beta_m = beta * m
-    pi = e.copy()
-    scratch = np.empty_like(pi)
-    for _ in range(steps):
-        np.dot(beta_m, pi, out=scratch)
-        scratch += alpha_e
-        pi, scratch = scratch, pi
-    for _ in range(100_000):
-        np.dot(beta_m, pi, out=scratch)
-        scratch += alpha_e
-        delta = np.abs(scratch - pi).sum()
-        pi, scratch = scratch, pi
-        if delta < 1e-10:
-            break
+    m *= alpha - 1.0
+    m.flat[:: len(order) + 1] += 1.0
+    rhs = np.zeros(len(order))
+    rhs[ci] = alpha
+    pi = np.linalg.solve(m, rhs)
     return {v: float(pi[i]) for i, v in enumerate(order)}
 
 
@@ -300,6 +289,9 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
     its residual settles into its estimate and the rest spreads to its
     neighbors. On termination the per-node estimate differs from the
     exact score by at most ``push_tolerance * degree(node)``.
+
+    At the defaults push beats the solve of :func:`ppr_exact` only above ~220
+    subgraph nodes (synthetic graphs of 10^4 and 10^5 nodes, 2-core Xeon).
     """
     order, adj, ci = sub._walk_view(center)
     n = len(order)
@@ -346,8 +338,8 @@ def top_k_anchors(
 ) -> AnchorList:
     """Full two-stage run: sample a subgraph, rank by PPR, keep the top k.
 
-    The center itself is dropped from the entries; ties break toward the
-    smaller node id so results are reproducible.
+    The center itself is dropped from the entries; ties under the tie
+    rule break toward the smaller node id so results are reproducible.
     """
     sub = sample_subgraph(g, center, cfg, mask)
     if cfg.ppr_mode == "exact_power_iteration":
@@ -355,9 +347,15 @@ def top_k_anchors(
     else:
         scores = ppr_approx(sub, center, cfg)
     center_score = scores.pop(center, 0.0)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple((v, float(s)) for v, s in ranked[: cfg.anchor_k])
+    entries = tuple(_rank_by_score(scores.items())[: cfg.anchor_k])
     return AnchorList(center=center, entries=entries, center_score=float(center_score))
+
+
+def _rank_by_score(items: Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
+    """Descending by score; sorted scores chained at most ``TIE_EPS`` apart tie, by node id."""
+    ranked = sorted(items, key=lambda item: -item[1])
+    gaps = (prev[1] - cur[1] > TIE_EPS for prev, cur in zip(ranked, ranked[1:]))
+    return [item for _, item in sorted(zip(accumulate(gaps, initial=0), ranked))]
 
 
 def anchors_for(

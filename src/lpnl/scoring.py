@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -306,9 +307,12 @@ class HttpLlmScorer:
 
     Sends ``{"model": ..., "prompt": ..., "max_output_tokens": ...}`` as
     JSON and reads the completion from the usual response shapes. Retries
-    429/5xx and transport errors with exponential backoff; concurrent
-    callers are bounded by a semaphore sized ``max_in_flight``, the one
-    backend attribute :func:`lpnl.evaluation.run_benchmark` fans out by.
+    429/5xx and transport errors with exponential backoff, waiting at least
+    as long as a numeric ``Retry-After`` header asks (up to ``timeout``);
+    concurrent callers are bounded by a semaphore sized ``max_in_flight``,
+    the one backend attribute :func:`lpnl.evaluation.run_benchmark` fans
+    out by. Answers that resolve only by ``fallback`` are not cached, so a
+    later call asks the model again.
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
@@ -337,7 +341,7 @@ class HttpLlmScorer:
         raw = self._complete(bundle.text)
         chosen, resolution = resolve_output(raw, bundle)
         response = ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
-        if self.cache is not None:
+        if self.cache is not None and resolution != RESOLUTION_FALLBACK:
             self.cache.store(key, self.cfg.model_name or "", response)
         return response
 
@@ -358,6 +362,7 @@ class HttpLlmScorer:
         }
         last_error: Exception | None = None
         for attempt in range(self.cfg.max_retries):
+            retry_after = 0.0
             try:
                 with self._gate:
                     resp = self._session.post(
@@ -366,6 +371,9 @@ class HttpLlmScorer:
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = TransportError(
                         f"server returned {resp.status_code}: {resp.text[:200]}"
+                    )
+                    retry_after = _retry_after_seconds(
+                        resp.headers.get("Retry-After"), self.cfg.timeout
                     )
                 elif resp.status_code >= 400:
                     raise ScorerError(
@@ -376,7 +384,7 @@ class HttpLlmScorer:
             except requests.RequestException as exc:
                 last_error = TransportError(f"transport failure: {exc}")
             if attempt < self.cfg.max_retries - 1:
-                time.sleep(self.cfg.backoff * (2**attempt))
+                time.sleep(max(self.cfg.backoff * (2**attempt), retry_after))
         raise last_error or TransportError("remote completion failed")
 
     @staticmethod
@@ -397,6 +405,21 @@ class HttpLlmScorer:
                     if isinstance(message, dict) and isinstance(message.get("content"), str):
                         return message["content"]
         raise ScorerError(f"cannot find completion text in response: {str(data)[:200]}")
+
+
+def _retry_after_seconds(value: str | None, cap: float) -> float:
+    """The delay a numeric ``Retry-After`` header asks for, clipped to ``cap``.
+
+    The HTTP-date form, a missing header and malformed, negative or
+    non-finite values all count as no request (0).
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 0.0
+    if not math.isfinite(seconds) or seconds < 0.0:
+        return 0.0
+    return min(seconds, cap)
 
 
 _BACKENDS = {

@@ -15,7 +15,8 @@ Sets are scored one after another; concurrency belongs to the caller
 
 A full ranking of the original pool is derived from elimination order:
 the later a candidate is eliminated, the better its rank; ties within a
-round break by the candidate's retained PPR mass, then node id. This
+round break by the candidate's retained PPR mass, with masses within
+``lpnl.sampling.TIE_EPS`` counted as equal, then node id. This
 ranking is an artifact convention — the tournament itself only names a
 winner — and is labeled as such wherever it is reported.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from .graph import EdgeMask, EdgeType, HetGraph
 from .prompts import PromptConfig, build_prompt
-from .sampling import SamplerConfig, anchors_for
+from .sampling import SamplerConfig, _rank_by_score, anchors_for
 from .scoring import ScorerBackendConfig, ScorerError, ScorerRequest, make_scorer
 
 __all__ = [
@@ -228,12 +229,19 @@ def _elimination_rounds(trace: PredictionTrace) -> dict[int, int]:
 
 
 def _rank(trace: PredictionTrace, eliminated_in: dict[int, int]) -> tuple[int, ...]:
-    def sort_key(c: int):
-        # Never-eliminated (the winner) sorts before everything; later
-        # elimination beats earlier; then higher retained PPR mass, then id.
-        return (-eliminated_in.get(c, math.inf), -trace.tie_scores.get(c, 0.0), c)
-
-    return tuple(sorted(trace.candidates, key=sort_key))
+    # Never-eliminated (the winner) sorts before everything and later
+    # elimination beats earlier; within a round, higher retained PPR mass
+    # under the sampler's tie rule, then id.
+    by_round: dict[float, list[tuple[int, float]]] = {}
+    for c in trace.candidates:
+        by_round.setdefault(eliminated_in.get(c, math.inf), []).append(
+            (c, trace.tie_scores.get(c, 0.0))
+        )
+    return tuple(
+        c
+        for round_index in sorted(by_round, reverse=True)
+        for c, _ in _rank_by_score(by_round[round_index])
+    )
 
 
 def derive_ranking(trace: PredictionTrace) -> tuple[int, ...]:

@@ -1,11 +1,16 @@
-"""The sampler against the per-group stage-1 loop and the per-function PPR indexes it replaced.
+"""The sampler against the per-group stage-1 loop and power-iteration PPR it replaced.
 
 The reference below is the earlier sampler: stage 1 calls
 ``layer_sampling_probs`` once per (type, layer) group, turns its dict
 back into an array and draws; stage 2 rebuilds a ``node -> position``
-dict in the adjacency, in the walk matrix and in each PPR mode. Every
-``EgoSubgraph`` must be equal, and every ``AnchorList`` and PPR score
-dict exactly equal, floats and key order included.
+dict in the adjacency, in the walk matrix and in each PPR mode, and
+computes exact PPR by power iteration. Every ``EgoSubgraph`` and every
+forward-push score dict must be exactly equal, key order included. Exact
+PPR is now one linear solve, whose rounding differs from power
+iteration's: its scores must lie within 1e-10 of the reference's at every
+node, in the same node order, and its anchor lists must name the same
+nodes in the same order once the tie rule is applied to the reference
+scores.
 """
 
 import math
@@ -16,9 +21,12 @@ import numpy as np
 import pytest
 
 import helpers
+from lpnl.evaluation import EvalTask, run_benchmark
 from lpnl.graph import EdgeMask, EdgeType, HetGraph, NodeType, UnknownNodeError
+from lpnl.prompts import PromptConfig
 from lpnl.sampling import (
     PPR_MODES,
+    TIE_EPS,
     AnchorList,
     EgoSubgraph,
     SamplerConfig,
@@ -30,7 +38,12 @@ from lpnl.sampling import (
     sample_subgraph,
     top_k_anchors,
 )
-from lpnl.synth import SynthSpec, make_academic_graph
+from lpnl.scoring import ScorerBackendConfig
+from lpnl.synth import SynthSpec, make_academic_graph, make_disambiguation_tasks
+from lpnl.tournament import DncConfig
+
+# solve against power iteration, per node: the contract of ppr_exact
+SCORE_TOL = 1e-10
 
 
 def _ref_layer_sampling_probs(g, frontier, type_name, mask=None):
@@ -182,12 +195,36 @@ def _ref_scores(sub, center, cfg):
     return _ref_ppr_approx(sub, center, cfg)
 
 
+def _ref_tie_order(scores):
+    """The tie rule: sort by score, then re-sort each run of scores within TIE_EPS by id."""
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    out, start = [], 0
+    for i in range(1, len(ranked) + 1):
+        if i == len(ranked) or ranked[i - 1][1] - ranked[i][1] > TIE_EPS:
+            out.extend(sorted(ranked[start:i]))
+            start = i
+    return out
+
+
 def _ref_anchors(scores, center, cfg):
     scores = dict(scores)
     center_score = scores.pop(center, 0.0)
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple((v, float(s)) for v, s in ranked[: cfg.anchor_k])
+    entries = tuple((v, float(s)) for v, s in _ref_tie_order(scores)[: cfg.anchor_k])
     return AnchorList(center=center, entries=entries, center_score=float(center_score))
+
+
+def _assert_scores_close(scores, ref_scores, context):
+    assert list(scores) == list(ref_scores), context
+    worst = max(abs(scores[v] - ref_scores[v]) for v in ref_scores)
+    assert worst <= SCORE_TOL, (context, worst)
+
+
+def _assert_anchors_close(anchors, expected, context):
+    assert anchors.center == expected.center, context
+    assert anchors.ids() == expected.ids(), context
+    assert abs(anchors.center_score - expected.center_score) <= SCORE_TOL, context
+    for (_, s), (_, ref) in zip(anchors.entries, expected.entries):
+        assert abs(s - ref) <= SCORE_TOL, context
 
 
 def _incident_mask(g, center, pick):
@@ -206,19 +243,28 @@ def _assert_matches_reference(g, center, cfg, mask):
     assert sub == ref, (center, cfg, mask)
     for mode in PPR_MODES:
         mode_cfg = replace(cfg, ppr_mode=mode)
+        context = (center, mode_cfg, mask)
         ref_scores = _ref_scores(ref, center, mode_cfg)
-        scores = (
-            ppr_exact(sub, center, cfg.alpha) if mode == PPR_MODES[0]
-            else ppr_approx(sub, center, mode_cfg)
-        )
-        assert list(scores.items()) == list(ref_scores.items()), (center, mode_cfg, mask)
         anchors = top_k_anchors(g, center, mode_cfg, mask)
-        assert anchors == _ref_anchors(ref_scores, center, mode_cfg), (center, mode_cfg, mask)
+        expected = _ref_anchors(ref_scores, center, mode_cfg)
+        if mode == "approximate_push":
+            scores = ppr_approx(sub, center, mode_cfg)
+            assert list(scores.items()) == list(ref_scores.items()), context
+            assert anchors == expected, context
+        else:
+            _assert_scores_close(ppr_exact(sub, center, cfg.alpha), ref_scores, context)
+            _assert_anchors_close(anchors, expected, context)
 
 
 @pytest.fixture(scope="module")
 def synth_graph():
     return make_academic_graph(SynthSpec(n_topics=40, seed=3))
+
+
+@pytest.fixture(scope="module")
+def bench_graph():
+    # the graph of the eval benchmark workloads at seed 0
+    return make_academic_graph(SynthSpec(n_topics=40, seed=0))
 
 
 def test_synth_centers_match_reference(synth_graph):
@@ -303,3 +349,42 @@ def test_zero_degree_group_draws_match_reference():
                 )
                 assert drawn == expected
                 assert len(drawn) == take and positive <= set(drawn)
+
+
+def test_solve_anchor_lists_match_power_iteration(bench_graph):
+    g = bench_graph
+    rng = np.random.default_rng(5)
+    centers = [int(v) for v in rng.choice(len(g), size=2000, replace=False)]
+    for i, center in enumerate(centers):
+        mask = _incident_mask(g, center, i) if i % 2 else None
+        for hops in (2, 3):
+            cfg = SamplerConfig(hops=hops, anchor_k=50)
+            sub = sample_subgraph(g, center, cfg, mask)
+            expected = _ref_anchors(_ref_ppr_exact(sub, center, cfg.alpha), center, cfg)
+            _assert_anchors_close(top_k_anchors(g, center, cfg, mask), expected, (center, hops, mask))
+
+
+def test_solve_reports_match_power_iteration(bench_graph, monkeypatch):
+    # the bench eval shape (hops 2, 50 anchors, L=5, budget 1024, lexical),
+    # with 10 candidates per task instead of 30
+    g = bench_graph
+    tasks = [
+        EvalTask(
+            source_id=g.id_of(t["source_id"]),
+            relation=t["relation"],
+            candidate_ids=tuple(g.id_of(c) for c in t["candidate_ids"]),
+            truth_id=g.id_of(t["truth_id"]),
+        )
+        for t in make_disambiguation_tasks(g, 200, 10, seed=1)
+    ]
+    assert len(tasks) == 200
+
+    def report():
+        return run_benchmark(
+            tasks, g, SamplerConfig(hops=2, anchor_k=50), PromptConfig(token_budget=1024),
+            ScorerBackendConfig(kind="lexical_overlap"), DncConfig(length_limit=5), seeds=(0, 1),
+        ).to_json()
+
+    solved = report()
+    monkeypatch.setattr("lpnl.sampling.ppr_exact", _ref_ppr_exact)
+    assert report() == solved

@@ -5,7 +5,9 @@ from scipy import stats
 import helpers
 from lpnl.graph import EdgeMask, UnknownNodeError
 from lpnl.sampling import (
+    TIE_EPS,
     SamplerConfig,
+    _rank_by_score,
     layer_sampling_probs,
     ppr_approx,
     ppr_exact,
@@ -278,6 +280,36 @@ def test_anchor_scores_non_increasing_and_no_duplicates():
     assert len(set(ids)) == len(ids)
     assert anchors.center not in ids
     assert len(anchors) <= cfg.anchor_k
+
+
+# -- the tie rule ----------------------------------------------------------------
+
+
+def test_tie_rule_orders_noise_perturbed_equal_scores_by_id():
+    items = [(7, 0.25 + 3e-11), (3, 0.25 - 2e-11), (5, 0.25), (1, 0.1), (9, 0.4)]
+    assert [v for v, _ in _rank_by_score(items)] == [9, 3, 5, 7, 1]
+    # the scores travel with their nodes
+    assert sorted(_rank_by_score(items)) == sorted(items)
+
+
+def test_tie_rule_chains_merge():
+    # each neighbor lies within TIE_EPS, the ends 1.8 TIE_EPS apart: one group
+    step = 0.6 * TIE_EPS
+    items = [(4, 0.3), (2, 0.3 - step), (8, 0.3 - 2 * step), (6, 0.3 - 3 * step)]
+    items.append((1, 0.3 - 3 * step - 2 * TIE_EPS))
+    assert [v for v, _ in _rank_by_score(items)] == [2, 4, 6, 8, 1]
+
+
+def test_tie_rule_keeps_gaps_above_eps():
+    items = [(1, 0.2), (2, 0.2 + 2 * TIE_EPS), (3, 0.2 - 2 * TIE_EPS)]
+    assert [v for v, _ in _rank_by_score(items)] == [2, 1, 3]
+
+
+def test_structurally_tied_anchors_rank_by_id():
+    g = helpers.star_graph(12)
+    hub = g.id_of("hub")
+    anchors = top_k_anchors(g, hub, SamplerConfig(hops=1, layer_budget=16, anchor_k=12))
+    assert list(anchors.ids()) == sorted(v for v in range(len(g)) if v != hub)
 
 
 def test_default_anchor_k_is_50():

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -15,6 +17,7 @@ from lpnl.scoring import (
     ScorerRequest,
     ScorerResponse,
     TransportError,
+    _retry_after_seconds,
     make_scorer,
     prompt_hash,
     resolve_output,
@@ -170,6 +173,37 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert cache.lookup("h1")["chosen_node_id"] == 3
 
 
+def _append_records(path, tag, barrier):
+    cache = ResponseCache(path)
+    barrier.wait(timeout=30)
+    for i in range(200):
+        # sizes from tens of bytes to past the 8 KiB io buffer
+        raw = f"{tag}-{i}:" + "x" * (37 * i % 9000)
+        cache.store(f"{tag}{i}", "m", ScorerResponse(chosen=i, raw_output=raw, resolution="exact_match"))
+
+
+def test_cache_concurrent_appends_from_two_processes(tmp_path, caplog):
+    path = str(tmp_path / "shared.jsonl")
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_append_records, args=(path, tag, barrier)) for tag in "ab"]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+    assert [proc.is_alive() for proc in procs] == [False, False]
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    with caplog.at_level("WARNING", logger="lpnl.scoring"):
+        reloaded = ResponseCache(path)
+    assert "corrupt" not in caplog.text
+    assert len(reloaded) == 400
+    for tag in "ab":
+        for i in range(200):
+            record = reloaded.lookup(f"{tag}{i}")
+            assert record["chosen_node_id"] == i
+            assert record["raw_output"] == f"{tag}-{i}:" + "x" * (37 * i % 9000)
+
+
 def test_prompt_hash_distinguishes_model():
     assert prompt_hash("same prompt", "model-a", 64) != prompt_hash("same prompt", "model-b", 64)
     assert prompt_hash("same prompt", "model-a", 64) == prompt_hash("same prompt", "model-a", 64)
@@ -189,9 +223,11 @@ class _Script(BaseHTTPRequestHandler):
         cls.requests_seen += 1
         length = int(self.headers.get("Content-Length", 0))
         cls.bodies.append(json.loads(self.rfile.read(length)))
-        status, payload = cls.responses[min(cls.requests_seen - 1, len(cls.responses) - 1)]
+        status, payload, *headers = cls.responses[min(cls.requests_seen - 1, len(cls.responses) - 1)]
         body = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -246,6 +282,35 @@ def test_http_backend_retries_on_server_error(http_server):
     assert resp.chosen in bundle.candidate_order
 
 
+def test_http_backend_honours_numeric_retry_after(http_server):
+    url, script = http_server
+    _, bundle = fixture()
+    script.responses = [(429, {}, {"Retry-After": "0.3"}), (200, {"text": bundle.candidate_aliases[1]})]
+    start = time.perf_counter()
+    resp = score(request_of(bundle), http_cfg(url))  # backoff 0.01 s
+    assert time.perf_counter() - start >= 0.3
+    assert script.requests_seen == 2
+    assert resp.chosen == bundle.candidate_order[1]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("0.3", 0.3),
+        ("2", 2.0),
+        ("120", 5.0),  # clipped to the timeout
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+        ("-1", 0.0),
+        ("nan", 0.0),
+        ("inf", 0.0),
+        ("soon", 0.0),
+        (None, 0.0),
+    ],
+)
+def test_retry_after_header_values(value, expected):
+    assert _retry_after_seconds(value, 5.0) == expected
+
+
 def test_http_backend_gives_up_after_retries(http_server):
     url, script = http_server
     _, bundle = fixture()
@@ -270,6 +335,20 @@ def test_http_cache_bypasses_network(tmp_path, http_server):
     third = scorer2.score(request_of(bundle))
     assert script.requests_seen == 1
     assert third == first
+
+
+def test_http_cache_skips_fallback_answers(tmp_path, http_server):
+    url, script = http_server
+    _, bundle = fixture()
+    script.responses = [(200, {"text": "%%% @@ ##"})]
+    path = tmp_path / "c.jsonl"
+    scorer = make_scorer(http_cfg(url, cache_path=str(path)))
+    first = scorer.score(request_of(bundle))
+    assert first.resolution == "fallback"
+    assert not path.exists() or path.read_text() == ""
+    second = scorer.score(request_of(bundle))
+    assert script.requests_seen == 2
+    assert second == first
 
 
 def test_http_cache_keyed_by_output_cap(tmp_path, http_server):

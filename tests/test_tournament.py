@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,11 +7,13 @@ import lpnl.sampling
 import lpnl.tournament
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import PromptConfig
-from lpnl.sampling import SamplerConfig
+from lpnl.sampling import TIE_EPS, SamplerConfig
 from lpnl.scoring import ScorerBackendConfig
 from lpnl.tournament import (
     DncConfig,
     PredictionAborted,
+    PredictionTrace,
+    Round,
     derive_ranking,
     partition,
     predict,
@@ -242,6 +245,23 @@ def test_derive_ranking_deterministic_tiebreak():
         for _ in range(2)
     ]
     assert traces[0].ranking == traces[1].ranking
+
+
+def test_derive_ranking_tie_scores_within_eps_rank_by_id():
+    # 11's retained mass exceeds 10's by less than TIE_EPS: a tie, so id decides
+    trace = PredictionTrace(
+        source=0,
+        relation="authored_by",
+        candidates=(11, 12, 10, 13),
+        rounds=(Round(((11, 12, 10, 13),), (13,)),),
+        final=13,
+        ranking=(),
+        scorer_calls=1,
+        tie_scores={10: 0.5, 11: 0.5 + 0.5 * TIE_EPS, 12: 0.7, 13: 0.1},
+    )
+    assert derive_ranking(trace) == (13, 12, 10, 11)
+    far = {**trace.tie_scores, 11: 0.5 + 2 * TIE_EPS}
+    assert derive_ranking(replace(trace, tie_scores=far)) == (13, 12, 11, 10)
 
 
 def test_derive_ranking_incomplete_trace_rejected():
