@@ -48,7 +48,6 @@ from .scoring import (
     ResponseCache,
     ScorerBackendConfig,
     ScorerError,
-    ScorerRequest,
     ScorerResponse,
     TransportError,
     make_scorer,

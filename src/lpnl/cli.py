@@ -41,7 +41,7 @@ from .prompts import (
     parse_prompt,
 )
 from .sampling import PPR_MODES, SamplerConfig, anchors_for, top_k_anchors
-from .scoring import BACKEND_KINDS, ScorerBackendConfig, ScorerRequest, make_scorer
+from .scoring import BACKEND_KINDS, ScorerBackendConfig, make_scorer
 from .tournament import GROUPINGS, DncConfig, PredictionAborted, partition, predict
 
 logger = logging.getLogger("lpnl")
@@ -226,20 +226,21 @@ def _cmd_prompt(args, g: HetGraph, cfg: dict) -> int:
 
 
 def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
-    """Reconstruct a scoreable bundle from a `prompt` output record."""
+    """Reconstruct a scoreable bundle from a `prompt` output record.
+
+    Candidate texts come from the graph, as in ``build_prompt``: a node's
+    text may itself contain the prompt's separators.
+    """
     parsed = parse_prompt(record["text"])
-    aliases = []
-    for segment in parsed.candidate_segments:
-        head = segment.split(": ", 1)[0]
-        aliases.append(head)
+    candidates = tuple(g.id_of(c) for c in record["candidates"])
     return PromptBundle(
         text=record["text"],
         token_count=record["token_count"],
         source=g.id_of(record["source"]),
-        candidate_order=tuple(g.id_of(c) for c in record["candidates"]),
+        candidate_order=candidates,
         source_alias=parsed.source_segment.split(": ", 1)[0],
-        candidate_aliases=tuple(aliases),
-        candidate_texts=parsed.candidate_own_texts(),
+        candidate_aliases=tuple(seg.split(": ", 1)[0] for seg in parsed.candidate_segments),
+        candidate_texts=tuple(g.text(c) for c in candidates),
     )
 
 
@@ -250,7 +251,7 @@ def _cmd_score(args, g: HetGraph, cfg: dict) -> int:
             if "error" in record:
                 continue
             bundle = _rebuild_bundle(record, g)
-            response = scorer.score(ScorerRequest(bundle))
+            response = scorer.score(bundle)
             choice = {
                 "source": record["source"],
                 "chosen": g.key_of(response.chosen),

@@ -21,7 +21,7 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .graph import EdgeMask, HetGraph
 from .prompts import PromptConfig
@@ -77,24 +77,40 @@ def metric_ndcg(ranking: Sequence[int], truth_id: int) -> float:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Aggregate metrics plus per-task rows and failure accounting.
+    """Per-task rows and failure accounting, with aggregates derived from the rows.
 
-    ``ndcg``/``mrr``/``hits_at_1`` are means of per-seed means; the std
-    fields spread over seeds (zero for a single seed). Failed tasks are
-    excluded from aggregates and counted in ``failures``.
+    ``ndcg``/``mrr``/``hits_at_1`` are means of per-seed means of the rows;
+    the ``_std`` fields spread over seeds (zero for a single seed). Both are
+    computed once, on construction, and are 0.0 when no row succeeded.
+    Failed tasks have no row and are counted in ``failures``.
     """
 
-    ndcg: float
-    mrr: float
-    hits_at_1: float
-    ndcg_std: float
-    mrr_std: float
-    hits_at_1_std: float
     rows: tuple[dict, ...]
     seeds: tuple[int, ...]
     tasks: int
-    failures: tuple[dict, ...] = field(default_factory=tuple)
-    ranking_convention: str = RANKING_CONVENTION
+    failures: tuple[dict, ...] = ()
+    ndcg: float = field(init=False)
+    mrr: float = field(init=False)
+    hits_at_1: float = field(init=False)
+    ndcg_std: float = field(init=False)
+    mrr_std: float = field(init=False)
+    hits_at_1_std: float = field(init=False)
+
+    ranking_convention: ClassVar[str] = RANKING_CONVENTION
+
+    def __post_init__(self):
+        by_seed: dict[int, list[dict]] = {}
+        for row in self.rows:
+            by_seed.setdefault(row["seed"], []).append(row)
+        for name in ("ndcg", "mrr", "hits_at_1"):
+            means = [
+                statistics.fmean(row[name] for row in by_seed[seed])
+                for seed in self.seeds
+                if seed in by_seed
+            ]
+            object.__setattr__(self, name, statistics.fmean(means) if means else 0.0)
+            std = statistics.pstdev(means) if len(means) > 1 else 0.0
+            object.__setattr__(self, f"{name}_std", std)
 
     def validate(self) -> None:
         for name, value in (("ndcg", self.ndcg), ("mrr", self.mrr), ("hits_at_1", self.hits_at_1)):
@@ -138,14 +154,6 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _empty_report(seeds: Sequence[int]) -> MetricReport:
-    return MetricReport(
-        ndcg=0.0, mrr=0.0, hits_at_1=0.0,
-        ndcg_std=0.0, mrr_std=0.0, hits_at_1_std=0.0,
-        rows=(), seeds=tuple(seeds), tasks=0,
-    )
-
-
 def run_benchmark(
     tasks: Sequence[EvalTask],
     g: HetGraph,
@@ -175,7 +183,7 @@ def run_benchmark(
 
     if not tasks:
         logger.warning("no tasks to evaluate; returning an empty report")
-        return _empty_report(seeds)
+        return MetricReport(rows=(), seeds=tuple(seeds), tasks=0)
 
     if scorer_cfg.kind == "oracle_truth" and not scorer_cfg.truth_pairs:
         scorer_cfg = replace(
@@ -188,7 +196,7 @@ def run_benchmark(
     scorer = make_scorer(scorer_cfg)
     workers = min(getattr(scorer, "max_in_flight", 1), len(tasks))
 
-    def run_task(args: tuple[int, int, SamplerConfig, DncConfig]) -> tuple[int, int, dict | None, dict | None]:
+    def run_task(args: tuple[int, int, SamplerConfig, DncConfig]) -> tuple[dict | None, dict | None]:
         seed, task_index, seeded_sampler, seeded_dnc = args
         task = tasks[task_index]
         mask = EdgeMask(
@@ -211,7 +219,7 @@ def run_benchmark(
             )
         except Exception as exc:
             logger.warning("task %d failed under seed %d: %s", task_index, seed, exc)
-            return seed, task_index, None, {"task": task_index, "seed": seed, "error": str(exc)}
+            return None, {"task": task_index, "seed": seed, "error": str(exc)}
         ndcg = metric_ndcg(trace.ranking, task.truth_id)
         mrr = metric_mrr(trace.ranking, task.truth_id)
         hits = metric_hits1(trace.ranking, task.truth_id)
@@ -227,11 +235,8 @@ def run_benchmark(
             "hits_at_1": hits,
             "scorer_calls": trace.scorer_calls,
         }
-        return seed, task_index, row, None
+        return row, None
 
-    rows: list[dict] = []
-    failures: list[dict] = []
-    per_seed: dict[int, list[tuple[float, float, float]]] = {seed: [] for seed in seeds}
     jobs = []
     for seed in seeds:
         seeded_sampler = sampler_cfg.with_seed(seed)
@@ -244,33 +249,11 @@ def run_benchmark(
     else:
         outcomes = [run_task(job) for job in jobs]
     # outcomes arrive in job order, so reports stay byte-identical across runs
-    for seed, _, row, failure in outcomes:
-        if failure is not None:
-            failures.append(failure)
-            continue
-        per_seed[seed].append((row["ndcg"], row["mrr"], row["hits_at_1"]))
-        rows.append(row)
-
-    seed_means = [
-        tuple(statistics.fmean(vals[i] for vals in per_seed[seed]) for i in range(3))
-        for seed in seeds
-        if per_seed[seed]
-    ]
-    if not seed_means:
-        return replace(_empty_report(seeds), tasks=len(tasks), failures=tuple(failures))
-
-    def agg(i: int) -> tuple[float, float]:
-        values = [m[i] for m in seed_means]
-        mean = statistics.fmean(values)
-        std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        return mean, std
-
-    (ndcg, ndcg_std), (mrr, mrr_std), (hits, hits_std) = agg(0), agg(1), agg(2)
     report = MetricReport(
-        ndcg=ndcg, mrr=mrr, hits_at_1=hits,
-        ndcg_std=ndcg_std, mrr_std=mrr_std, hits_at_1_std=hits_std,
-        rows=tuple(rows), seeds=tuple(seeds), tasks=len(tasks),
-        failures=tuple(failures),
+        rows=tuple(row for row, _ in outcomes if row is not None),
+        seeds=tuple(seeds),
+        tasks=len(tasks),
+        failures=tuple(failure for _, failure in outcomes if failure is not None),
     )
     report.validate()
     return report

@@ -375,20 +375,6 @@ class ParsedPrompt:
     source_segment: str
     candidate_segments: tuple[str, ...]
 
-    def candidate_own_texts(self) -> tuple[str, ...]:
-        return tuple(_own_text(seg) for seg in self.candidate_segments)
-
-
-def _own_text(segment: str) -> str:
-    """The node's own text within a description segment (anchors stripped)."""
-    head = segment.split(RELATED_WITH, 1)[0]
-    alias_sep = head.find(": ")
-    if alias_sep >= 0:
-        head = head[alias_sep + 2 :]
-    if head.endswith("]") and " [" in head:
-        head = head.rsplit(" [", 1)[0]
-    return head
-
 
 def parse_prompt(text: str) -> ParsedPrompt:
     """Split a rendered prompt back into its three segment kinds.

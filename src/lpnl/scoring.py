@@ -1,5 +1,8 @@
 """Scorer contract: given a rendered prompt, choose exactly one candidate.
 
+A backend is any object with ``score(bundle) -> ScorerResponse``, taking
+the :class:`~lpnl.prompts.PromptBundle` that ``build_prompt`` returned.
+
 The production backend calls a remote text-completion endpoint; three
 deterministic local backends exist so the whole pipeline runs (and is
 testable) offline:
@@ -14,7 +17,7 @@ testable) offline:
     trigrams with the source description — cheap content awareness.
 
 Whatever the backend emits, the response's ``chosen`` is always a member
-of the request's candidates: free-text model output is resolved through
+of the bundle's candidates: free-text model output is resolved through
 a ladder (alias token, text prefix, trigram similarity) and, failing all
 rungs, falls back to the first candidate with ``resolution="fallback"``.
 """
@@ -38,7 +41,6 @@ from .prompts import PromptBundle, parse_prompt
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ScorerRequest",
     "ScorerResponse",
     "ScorerBackendConfig",
     "ScorerError",
@@ -63,11 +65,6 @@ class ScorerError(RuntimeError):
 
 class TransportError(ScorerError):
     """Remote call failed after all retries."""
-
-
-@dataclass(frozen=True)
-class ScorerRequest:
-    bundle: PromptBundle
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,9 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 _ALIAS_UNDERSCORE = re.compile(r"([a-z]+)_(\d+)")
 
 
-def _trigrams(text: str) -> set[str]:
-    text = text.lower()
-    return {text[i : i + 3] for i in range(len(text) - 2)}
+def _trigrams(text: str) -> set[tuple[str, str, str]]:
+    t = text.lower()
+    return set(zip(t, t[1:], t[2:]))
 
 
 def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
@@ -179,7 +176,7 @@ class ResponseCache:
     Lines are ``{hash, model, chosen_node_id, raw_output, resolution}``.
     Corrupt lines are skipped with a warning. Hits bypass the network but
     never change which candidate is chosen: a cached node id that is not
-    among the current request's candidates is re-resolved from the cached
+    among the current bundle's candidates is re-resolved from the cached
     raw output (dense node ids are only stable within one graph load).
     """
 
@@ -226,21 +223,23 @@ class ResponseCache:
 # -- backends -----------------------------------------------------------------
 
 
+def _answer(bundle: PromptBundle, i: int) -> ScorerResponse:
+    """An offline backend's pick: candidate ``i``, answered as ``<alias>: <text>``."""
+    return ScorerResponse(
+        chosen=bundle.candidate_order[i],
+        raw_output=f"{bundle.candidate_aliases[i]}: {bundle.candidate_texts[i]}",
+        resolution=RESOLUTION_EXACT,
+    )
+
+
 class FixedIndexScorer:
     """Always the candidate at a fixed position (clamped to the last one)."""
 
     def __init__(self, cfg: ScorerBackendConfig):
         self.index = cfg.fixed_index
 
-    def score(self, request: ScorerRequest) -> ScorerResponse:
-        order = request.bundle.candidate_order
-        idx = min(max(self.index, 0), len(order) - 1)
-        alias = request.bundle.candidate_aliases[idx]
-        return ScorerResponse(
-            chosen=order[idx],
-            raw_output=f"{alias}: {request.bundle.candidate_texts[idx]}",
-            resolution=RESOLUTION_EXACT,
-        )
+    def score(self, bundle: PromptBundle) -> ScorerResponse:
+        return _answer(bundle, min(max(self.index, 0), len(bundle.candidate_order) - 1))
 
 
 class OracleTruthScorer:
@@ -256,18 +255,13 @@ class OracleTruthScorer:
         for s, t in cfg.truth_pairs:
             self._truths.setdefault(s, set()).add(t)
 
-    def score(self, request: ScorerRequest) -> ScorerResponse:
-        true_neighbors = self._truths.get(request.bundle.source, set())
-        for i, c in enumerate(request.bundle.candidate_order):
+    def score(self, bundle: PromptBundle) -> ScorerResponse:
+        true_neighbors = self._truths.get(bundle.source, set())
+        for i, c in enumerate(bundle.candidate_order):
             if c in true_neighbors:
-                alias = request.bundle.candidate_aliases[i]
-                return ScorerResponse(
-                    chosen=c,
-                    raw_output=f"{alias}: {request.bundle.candidate_texts[i]}",
-                    resolution=RESOLUTION_EXACT,
-                )
+                return _answer(bundle, i)
         return ScorerResponse(
-            chosen=request.bundle.candidate_order[0],
+            chosen=bundle.candidate_order[0],
             raw_output="",
             resolution=RESOLUTION_FALLBACK,
         )
@@ -277,14 +271,14 @@ class LexicalOverlapScorer:
     """Highest character-trigram overlap with the source description.
 
     Ties break toward the earlier candidate, so responses are pure
-    functions of the request.
+    functions of the bundle.
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
         pass  # stateless: nothing in the config shapes its answers
 
-    def score(self, request: ScorerRequest) -> ScorerResponse:
-        parsed = parse_prompt(request.bundle.text)
+    def score(self, bundle: PromptBundle) -> ScorerResponse:
+        parsed = parse_prompt(bundle.text)
         source_grams = _trigrams(parsed.source_segment)
         best_i = 0
         best_overlap = -1
@@ -293,13 +287,7 @@ class LexicalOverlapScorer:
             if overlap > best_overlap:
                 best_overlap = overlap
                 best_i = i
-        chosen = request.bundle.candidate_order[best_i]
-        alias = request.bundle.candidate_aliases[best_i]
-        return ScorerResponse(
-            chosen=chosen,
-            raw_output=f"{alias}: {request.bundle.candidate_texts[best_i]}",
-            resolution=RESOLUTION_EXACT,
-        )
+        return _answer(bundle, best_i)
 
 
 class HttpLlmScorer:
@@ -331,13 +319,12 @@ class HttpLlmScorer:
                     cfg.api_key_env_var,
                 )
 
-    def score(self, request: ScorerRequest) -> ScorerResponse:
-        bundle = request.bundle
+    def score(self, bundle: PromptBundle) -> ScorerResponse:
         key = prompt_hash(bundle.text, self.cfg.model_name or "", self.cfg.max_output_tokens)
         if self.cache is not None:
             hit = self.cache.lookup(key)
             if hit is not None:
-                return self._from_cache(hit, request)
+                return self._from_cache(hit, bundle)
         raw = self._complete(bundle.text)
         chosen, resolution = resolve_output(raw, bundle)
         response = ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
@@ -345,13 +332,13 @@ class HttpLlmScorer:
             self.cache.store(key, self.cfg.model_name or "", response)
         return response
 
-    def _from_cache(self, record: dict, request: ScorerRequest) -> ScorerResponse:
+    def _from_cache(self, record: dict, bundle: PromptBundle) -> ScorerResponse:
         chosen = record.get("chosen_node_id")
         raw = record.get("raw_output", "")
         resolution = record.get("resolution", RESOLUTION_FALLBACK)
-        if chosen in request.bundle.candidate_order:
+        if chosen in bundle.candidate_order:
             return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
-        chosen, resolution = resolve_output(raw, request.bundle)
+        chosen, resolution = resolve_output(raw, bundle)
         return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
 
     def _complete(self, prompt_text: str) -> str:
@@ -435,6 +422,6 @@ def make_scorer(cfg: ScorerBackendConfig):
     return _BACKENDS[cfg.kind](cfg)
 
 
-def score(request: ScorerRequest, cfg: ScorerBackendConfig) -> ScorerResponse:
+def score(bundle: PromptBundle, cfg: ScorerBackendConfig) -> ScorerResponse:
     """One-off scoring. For repeated calls build the backend once."""
-    return make_scorer(cfg).score(request)
+    return make_scorer(cfg).score(bundle)

@@ -24,7 +24,8 @@ winner — and is labeled as such wherever it is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .graph import EdgeMask, EdgeType, HetGraph
 from .prompts import PromptConfig, build_prompt
 from .sampling import SamplerConfig, _rank_by_score, anchors_for
-from .scoring import ScorerBackendConfig, ScorerError, ScorerRequest, make_scorer
+from .scoring import ScorerBackendConfig, ScorerError, make_scorer
 
 __all__ = [
     "DncConfig",
@@ -75,20 +76,34 @@ class Round:
 
 @dataclass(frozen=True)
 class PredictionTrace:
-    """Everything a tournament did: sets, winners, the answer, the ranking."""
+    """What a tournament did: its sets, their winners, the answer.
+
+    ``final`` is None when a set failed; the failed round is then the last
+    one, holding its sets and the winners named before the failure.
+    ``ranking`` and ``scorer_calls`` are derived from ``rounds`` and
+    ``tie_scores``, never stored.
+    """
 
     source: int
     relation: str
     candidates: tuple[int, ...]
     rounds: tuple[Round, ...]
     final: int | None
-    ranking: tuple[int, ...]
-    scorer_calls: int
     tie_scores: Mapping[int, float] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
         return self.final is not None
+
+    @property
+    def scorer_calls(self) -> int:
+        """Scorer calls that named a winner; a failed call is not counted."""
+        return sum(len(r.winners) for r in self.rounds)
+
+    @cached_property
+    def ranking(self) -> tuple[int, ...]:
+        """The elimination ranking (see module docstring); ``()`` if incomplete."""
+        return _rank(self) if self.complete else ()
 
 
 class PredictionAborted(RuntimeError):
@@ -172,9 +187,9 @@ def predict(
     # predictions can share one connection pool, cache and in-flight ceiling
     scorer = scorer_cfg if hasattr(scorer_cfg, "score") else make_scorer(scorer_cfg)
     rounds: list[Round] = []
-    calls = 0
     pool = list(candidates)
-    while len(pool) > 1:
+    failure: Exception | None = None
+    while len(pool) > 1 and failure is None:
         if not rounds:
             sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
         else:
@@ -183,25 +198,14 @@ def predict(
         try:
             for members in sets:
                 bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                response = scorer.score(ScorerRequest(bundle))
+                response = scorer.score(bundle)
                 if response.chosen not in members:
                     raise ScorerError(
                         f"backend chose {response.chosen}, which is not in the scored set"
                     )
                 winners.append(response.chosen)
         except Exception as exc:
-            partial = PredictionTrace(
-                source=source,
-                relation=relation.name,
-                candidates=tuple(candidates),
-                rounds=tuple(rounds) + (Round(tuple(map(tuple, sets)), tuple(winners)),),
-                final=None,
-                ranking=(),
-                scorer_calls=calls + len(winners),
-                tie_scores=tie_scores,
-            )
-            raise PredictionAborted(f"set scoring failed: {exc}", partial) from exc
-        calls += len(sets)
+            failure = exc
         rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
         pool = winners
 
@@ -210,28 +214,24 @@ def predict(
         relation=relation.name,
         candidates=tuple(candidates),
         rounds=tuple(rounds),
-        final=pool[0],
-        ranking=(),
-        scorer_calls=calls,
+        final=pool[0] if failure is None else None,
         tie_scores=tie_scores,
     )
-    return replace(trace, ranking=_rank(trace, _elimination_rounds(trace)))
+    if failure is not None:
+        raise PredictionAborted(f"set scoring failed: {failure}", trace) from failure
+    return trace
 
 
-def _elimination_rounds(trace: PredictionTrace) -> dict[int, int]:
-    eliminated: dict[int, int] = {}
+def _rank(trace: PredictionTrace) -> tuple[int, ...]:
+    # Never-eliminated (the winner) sorts before everything and later
+    # elimination beats earlier; within a round, higher retained PPR mass
+    # under the sampler's tie rule, then id.
+    eliminated_in: dict[int, int] = {}
     for round_index, rnd in enumerate(trace.rounds, start=1):
         for members, winner in zip(rnd.sets, rnd.winners):
             for c in members:
                 if c != winner:
-                    eliminated[c] = round_index
-    return eliminated
-
-
-def _rank(trace: PredictionTrace, eliminated_in: dict[int, int]) -> tuple[int, ...]:
-    # Never-eliminated (the winner) sorts before everything and later
-    # elimination beats earlier; within a round, higher retained PPR mass
-    # under the sampler's tie rule, then id.
+                    eliminated_in[c] = round_index
     by_round: dict[float, list[tuple[int, float]]] = {}
     for c in trace.candidates:
         by_round.setdefault(eliminated_in.get(c, math.inf), []).append(
@@ -253,6 +253,4 @@ def derive_ranking(trace: PredictionTrace) -> tuple[int, ...]:
     """
     if not trace.complete:
         raise ValueError("cannot derive a ranking from an incomplete trace")
-    if trace.ranking:
-        return tuple(trace.ranking)
-    return _rank(trace, _elimination_rounds(trace))
+    return trace.ranking

@@ -12,7 +12,7 @@ import pytest
 import helpers
 from lpnl import scoring
 from lpnl.cli import main
-from lpnl.graph import save_graph
+from lpnl.graph import EdgeType, HetGraph, NodeType, save_graph
 from lpnl.prompts import parse_prompt
 
 
@@ -109,6 +109,45 @@ def test_score_subcommand(cli_graph, tmp_path):
     for choice, prompt in zip(choices, prompt_records):
         assert choice["chosen"] == prompt["candidates"][0]
         assert choice["resolution"] == "exact_match"
+
+
+def test_score_takes_candidate_texts_from_the_graph(tmp_path, monkeypatch):
+    # a candidate's own text contains the prompt's anchor separator
+    g = HetGraph(
+        [NodeType("paper", 0, "PA"), NodeType("author", 1, "AU")],
+        [EdgeType("authored_by", "paper", "author")],
+        [
+            ("p0", "paper", "vision models survey"),
+            ("x", "author", "deep nets is related with graphs"),
+            ("y", "author", "deep nets for vision"),
+        ],
+        [("p0", "y", "authored_by")],
+    )
+    files = [str(tmp_path / name) for name in ("nodes.tsv", "edges.tsv", "schema.json")]
+    save_graph(g, *files)
+    flags = ["--nodes", files[0], "--edges", files[1], "--schema", files[2]]
+    tasks = tmp_path / "tasks.ndjson"
+    tasks.write_text(json.dumps(
+        {"source_id": "p0", "relation": "authored_by", "candidate_ids": ["x", "y"]}
+    ) + "\n")
+    prompts = str(tmp_path / "prompts.ndjson")
+    assert main(flags + ["prompt", "--tasks", str(tasks), "--hops", "1", "--out", prompts]) == 0
+    alias_x = parse_prompt(read_ndjson(prompts)[0]["text"]).candidate_segments[0].split(": ")[0]
+
+    out = str(tmp_path / "fixed.ndjson")
+    assert main(flags + ["score", "--prompts", prompts, "--backend", "fixed_index", "--out", out]) == 0
+    assert read_ndjson(out)[0]["raw_output"] == f"{alias_x}: deep nets is related with graphs"
+
+    # the model names y by its full text; a text cut at the separator would
+    # make x's "deep nets" a prefix of the answer and pick x
+    monkeypatch.setattr(scoring.HttpLlmScorer, "_complete", lambda self, text: "deep nets for vision")
+    out = str(tmp_path / "http.ndjson")
+    assert main(flags + [
+        "score", "--prompts", prompts, "--backend", "http_llm",
+        "--endpoint-url", "http://127.0.0.1:9/complete", "--model", "m", "--out", out,
+    ]) == 0
+    choice = read_ndjson(out)[0]
+    assert (choice["chosen"], choice["resolution"]) == ("y", "exact_match")
 
 
 def test_predict_subcommand_and_dry_run(cli_graph, tmp_path):

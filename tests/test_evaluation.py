@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import statistics
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -19,7 +20,7 @@ from lpnl.evaluation import (
 )
 from lpnl.prompts import PromptConfig
 from lpnl.sampling import SamplerConfig
-from lpnl.scoring import ScorerBackendConfig
+from lpnl.scoring import LexicalOverlapScorer, ScorerBackendConfig, ScorerError
 from lpnl.tournament import DncConfig
 
 FAST = SamplerConfig(hops=1, layer_budget=3, anchor_k=3, rng_seed=0)
@@ -202,6 +203,35 @@ def test_benchmark_records_per_task_failures():
     assert len(report.rows) == 1
     assert report.failures[0]["task"] == 0
     assert report.hits_at_1 == 1.0  # aggregate over the surviving task only
+
+
+def test_report_aggregates_are_per_seed_means_of_rows(monkeypatch):
+    g = helpers.authorship_graph(n_papers=60, seed=10)
+    tasks = make_tasks(g, n_tasks=8, n_candidates=5, seed=8)
+    failing_source = tasks[3].source_id
+    real_score = LexicalOverlapScorer.score
+
+    def score(self, bundle):
+        if bundle.source == failing_source:
+            raise ScorerError("refused")
+        return real_score(self, bundle)
+
+    monkeypatch.setattr(LexicalOverlapScorer, "score", score)
+    seeds = (0, 1, 2)
+    report = run_benchmark(
+        tasks, g, FAST, PROMPT, ScorerBackendConfig(kind="lexical_overlap"),
+        DncConfig(length_limit=2), seeds=seeds,
+    )
+    assert [(f["seed"], f["task"]) for f in report.failures] == [(s, 3) for s in seeds]
+    assert len(report.rows) == len(seeds) * (len(tasks) - 1)
+    for name in ("ndcg", "mrr", "hits_at_1"):
+        means = [
+            statistics.fmean(row[name] for row in report.rows if row["seed"] == seed)
+            for seed in seeds
+        ]
+        assert getattr(report, name) == statistics.fmean(means)
+        assert getattr(report, f"{name}_std") == statistics.pstdev(means)
+        assert report.to_dict()[name] == getattr(report, name)
 
 
 class _PromptKeyed(BaseHTTPRequestHandler):

@@ -109,7 +109,11 @@ def test_build_prompt_shape_and_order():
     assert parsed.question == "Which following candidate author writes the paper p1?"
     assert len(parsed.candidate_segments) == 3
     # candidate descriptions appear in input order
-    assert parsed.candidate_own_texts() == ("Bren Holt", "Alva Mercer", "Cyra Shaw")
+    for alias, text, segment in zip(
+        bundle.candidate_aliases, ("Bren Holt", "Alva Mercer", "Cyra Shaw"),
+        parsed.candidate_segments,
+    ):
+        assert segment.startswith(f"{alias}: {text} [")
     # aliases are dense, per type, in first-appearance order; a node seen
     # earlier (a1 is one of p0's anchors) keeps its alias
     assert bundle.source_alias == "p1"

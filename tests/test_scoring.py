@@ -14,10 +14,10 @@ from lpnl.sampling import AnchorList
 from lpnl.scoring import (
     ResponseCache,
     ScorerBackendConfig,
-    ScorerRequest,
     ScorerResponse,
     TransportError,
     _retry_after_seconds,
+    _trigrams,
     make_scorer,
     prompt_hash,
     resolve_output,
@@ -42,7 +42,7 @@ def fixture():
 
 
 def request_of(bundle):
-    return ScorerRequest(bundle)
+    return bundle
 
 
 # -- deterministic backends -----------------------------------------------------
@@ -97,6 +97,25 @@ def test_deterministic_backends_stable_across_calls():
         first = score(request_of(bundle), cfg)
         second = score(request_of(bundle), cfg)
         assert first == second
+
+
+# -- trigrams ---------------------------------------------------------------------
+
+
+def slice_trigrams(text):
+    text = text.lower()
+    return {text[i : i + 3] for i in range(len(text) - 2)}
+
+
+TRIGRAM_TEXTS = ["", "a", "ab", "abc", "abca", "Straße ÄÖÜ", "İstanbul", "орографический дождь"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.text(max_size=40) | st.sampled_from(TRIGRAM_TEXTS),
+       b=st.text(max_size=40) | st.sampled_from(TRIGRAM_TEXTS))
+def test_trigram_overlap_matches_slice_version(a, b):
+    assert len(_trigrams(a)) == len(slice_trigrams(a))
+    assert len(_trigrams(a) & _trigrams(b)) == len(slice_trigrams(a) & slice_trigrams(b))
 
 
 # -- resolution ladder ----------------------------------------------------------

@@ -8,7 +8,7 @@ import lpnl.tournament
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import PromptConfig
 from lpnl.sampling import TIE_EPS, SamplerConfig
-from lpnl.scoring import ScorerBackendConfig
+from lpnl.scoring import ScorerBackendConfig, make_scorer
 from lpnl.tournament import (
     DncConfig,
     PredictionAborted,
@@ -255,13 +255,53 @@ def test_derive_ranking_tie_scores_within_eps_rank_by_id():
         candidates=(11, 12, 10, 13),
         rounds=(Round(((11, 12, 10, 13),), (13,)),),
         final=13,
-        ranking=(),
-        scorer_calls=1,
         tie_scores={10: 0.5, 11: 0.5 + 0.5 * TIE_EPS, 12: 0.7, 13: 0.1},
     )
     assert derive_ranking(trace) == (13, 12, 10, 11)
     far = {**trace.tie_scores, 11: 0.5 + 2 * TIE_EPS}
     assert derive_ranking(replace(trace, tie_scores=far)) == (13, 12, 11, 10)
+
+
+def test_trace_derives_ranking_and_scorer_calls():
+    trace = PredictionTrace(
+        source=0,
+        relation="authored_by",
+        candidates=(1, 2, 3, 4, 5, 6, 7),
+        rounds=(
+            Round(((1, 2, 3), (4, 5), (6, 7)), (2, 5, 7)),
+            Round(((2, 5, 7),), (5,)),
+        ),
+        final=5,
+        tie_scores={1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4, 5: 0.5, 6: 0.6, 7: 0.05},
+    )
+    assert trace.scorer_calls == 4
+    # the winner, then round 2's losers, then round 1's, each by retained mass
+    assert trace.ranking == (5, 2, 7, 6, 4, 3, 1)
+    assert derive_ranking(trace) == trace.ranking
+
+
+def test_aborted_trace_counts_recorded_winners():
+    g, source, candidates = tournament_fixture(9)
+    oracle = make_scorer(oracle_cfg(g, source, candidates[0]))
+    scored = []
+
+    class FailsSecondCall:
+        def score(self, bundle):
+            scored.append(bundle)
+            if len(scored) == 2:
+                raise RuntimeError("boom")
+            return oracle.score(bundle)
+
+    with pytest.raises(PredictionAborted) as excinfo:
+        predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT,
+            FailsSecondCall(), DncConfig(length_limit=3, grouping="sequential"),
+        )
+    partial = excinfo.value.trace
+    assert [len(r.sets) for r in partial.rounds] == [3]
+    assert partial.rounds[0].winners == (candidates[0],)
+    assert partial.scorer_calls == 1
+    assert partial.final is None and partial.ranking == ()
 
 
 def test_derive_ranking_incomplete_trace_rejected():
@@ -280,6 +320,8 @@ def test_derive_ranking_incomplete_trace_rejected():
     partial = excinfo.value.trace
     assert partial.final is None
     assert partial.rounds  # the failed round is recorded with its sets
+    assert partial.ranking == ()
+    assert partial.scorer_calls == sum(len(r.winners) for r in partial.rounds) == 0
     with pytest.raises(ValueError, match="incomplete"):
         derive_ranking(partial)
 
