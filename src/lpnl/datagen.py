@@ -102,15 +102,14 @@ class TrainingExample:
     negative_ids: tuple[int, ...]
     truth_position: int
 
-    def to_record(self, g: HetGraph | None = None) -> dict:
-        key = (lambda v: g.key_of(v)) if g is not None else (lambda v: v)
+    def to_record(self, g: HetGraph) -> dict:
         return {
             "input": self.input_text,
             "target": self.target_text,
             "meta": {
-                "source_id": key(self.source_id),
-                "truth_id": key(self.truth_id),
-                "negative_ids": [key(n) for n in self.negative_ids],
+                "source_id": g.key_of(self.source_id),
+                "truth_id": g.key_of(self.truth_id),
+                "negative_ids": [g.key_of(n) for n in self.negative_ids],
                 "truth_position": self.truth_position,
             },
         }
@@ -310,8 +309,8 @@ def leakage_audit(
     return LeakageReport(examples_scanned=scanned, violations=tuple(violations))
 
 
-def write_examples(path: str, examples: Iterable[TrainingExample], g: HetGraph | None = None) -> int:
-    """Write examples as newline-delimited JSON; returns the count."""
+def write_examples(path: str, examples: Iterable[TrainingExample], g: HetGraph) -> int:
+    """Write examples as newline-delimited JSON keyed by ``g``'s node keys; returns the count."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for example in examples:
@@ -320,9 +319,8 @@ def write_examples(path: str, examples: Iterable[TrainingExample], g: HetGraph |
     return count
 
 
-def read_examples(path: str, g: HetGraph | None = None) -> Iterator[TrainingExample]:
-    """Read a JSONL corpus back into :class:`TrainingExample` objects."""
-    resolve = (lambda v: g.id_of(v) if isinstance(v, str) else v) if g is not None else (lambda v: v)
+def read_examples(path: str, g: HetGraph) -> Iterator[TrainingExample]:
+    """Read a JSONL corpus written against ``g`` back into :class:`TrainingExample` objects."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -333,8 +331,8 @@ def read_examples(path: str, g: HetGraph | None = None) -> Iterator[TrainingExam
             yield TrainingExample(
                 input_text=record["input"],
                 target_text=record["target"],
-                source_id=resolve(meta["source_id"]),
-                truth_id=resolve(meta["truth_id"]),
-                negative_ids=tuple(resolve(n) for n in meta["negative_ids"]),
+                source_id=g.id_of(meta["source_id"]),
+                truth_id=g.id_of(meta["truth_id"]),
+                negative_ids=tuple(g.id_of(n) for n in meta["negative_ids"]),
                 truth_position=meta["truth_position"],
             )

@@ -133,6 +133,8 @@ class EdgeMask:
     A triple given in the reverse of the stored orientation still masks the
     stored edge (the triple is resolved against the graph when applied), so
     callers never need to know which endpoint a relation was declared from.
+    An edge type the schema lacks raises :class:`UnknownEdgeTypeError` when
+    applied; only unmatched or out-of-range endpoints mask nothing.
     Masks are per-task overlays; they never mutate the shared graph.
     """
 
@@ -317,8 +319,10 @@ class HetGraph:
 
         A triple whose literal orientation matches a stored edge masks that
         edge; otherwise, if the reversed orientation exists, the reversed
-        edge is masked. Triples matching nothing are ignored. The result is
-        remembered on the mask for the graph it was resolved against.
+        edge is masked. Unmatched or out-of-range endpoints are ignored; an
+        unknown edge type raises :class:`UnknownEdgeTypeError`, as a typo
+        must not leave the edge visible. The result is remembered on the
+        mask for the graph it was resolved against.
         """
         if not mask:
             return frozenset()

@@ -11,15 +11,16 @@ with one ``degrees`` call and draws every type group from its slice.
 Stage 2 scores every sampled node by personalized PageRank restricted
 to the subgraph, walking edges in both directions, and keeps the top-k
 as the anchor list that later turns structure into text. Both PPR modes
-walk the same local adjacency of the subgraph (:meth:`EgoSubgraph.adjacency`).
+walk the local adjacency that stage 1 keeps (:attr:`EgoSubgraph.adjacency`).
 Rankings count scores within ``TIE_EPS`` as ties, ordered by node id.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,47 +84,30 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class EgoSubgraph:
-    """A sampled h-hop neighborhood: layered nodes plus their induced edges.
+    """A sampled h-hop neighborhood: layered nodes plus their walk adjacency.
 
     Layers are disjoint, exclude the center, and every layer-l node is
     adjacent to some node of layer l-1 (layer 0 being the center).
-    ``induced_edges`` holds every graph edge among the sampled vertex set.
+    ``adjacency[i]`` holds the ascending ``nodes`` positions of node i's
+    subgraph neighbors, one per unmasked edge end (a self-loop gives two).
+    ``graph`` and ``mask`` sit outside equality and serve only the
+    on-demand :attr:`induced_edges`, which checks and demos read.
     """
 
     center: int
     layers: tuple[tuple[int, ...], ...]
-    induced_edges: tuple[tuple[int, int, str], ...]
+    adjacency: tuple[tuple[int, ...], ...]
+    graph: HetGraph = field(compare=False, repr=False)
+    mask: EdgeMask | None = field(compare=False, repr=False)
+
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(chain([self.center], *self.layers))
 
     @property
-    def nodes(self) -> tuple[int, ...]:
-        out = [self.center]
-        for layer in self.layers:
-            out.extend(layer)
-        return tuple(out)
-
-    def adjacency(self) -> tuple[list[int], list[list[int]]]:
-        """Undirected adjacency over the sampled vertex set.
-
-        Returns (nodes, neighbor lists) with neighbor lists indexed the
-        same way as ``nodes``. Edges contribute in both directions; walks
-        over the subgraph ignore orientation.
-        """
-        order, adj, _ = self._walk_view(self.center)
-        return order, adj
-
-    def _walk_view(self, center: int) -> tuple[list[int], list[list[int]], int]:
-        """:meth:`adjacency` plus ``center``'s position, which must be sampled."""
-        order = list(self.nodes)
-        index = {v: i for i, v in enumerate(order)}
-        if center not in index:
-            raise UnknownNodeError(center)
-        adj: list[list[int]] = [[] for _ in order]
-        for u, v, _ in self.induced_edges:
-            adj[index[u]].append(index[v])
-            adj[index[v]].append(index[u])
-        for lst in adj:
-            lst.sort()
-        return order, adj, index[center]
+    def induced_edges(self) -> tuple[tuple[int, int, str], ...]:
+        """Unmasked ``(u, w, type)`` graph edges among ``nodes``, read on each access."""
+        return tuple(self.graph.induced_edges(self.nodes, self.mask))
 
 
 @dataclass(frozen=True)
@@ -206,21 +190,18 @@ def sample_subgraph(
 
     Deterministic for a fixed (graph, center, config, mask): the RNG
     stream is derived from (rng_seed, center), so sampling distinct
-    centers in parallel stays reproducible.
+    centers in parallel stays reproducible. Each member's masked row is
+    read once, the last layer's only to build the walk adjacency.
     """
     g._check_node(center)
     rng = np.random.default_rng([cfg.rng_seed, center])
-    visited: set[int] = {center}
+    # masked rows of the center and inner layers; its keys are the nodes sampled so far
+    rows: dict[int, list[int]] = {}
     layers: list[tuple[int, ...]] = []
     frontier = [center]
     for _ in range(cfg.hops):
-        candidates = sorted(
-            {w for u in frontier for w in g.all_neighbors(u, mask)} - visited
-        )
-        if not candidates:
-            layers.append(())
-            frontier = []
-            continue
+        rows.update((u, g.all_neighbors(u, mask)) for u in frontier)
+        candidates = sorted({w for u in frontier for w in rows[u]} - rows.keys())
         degrees = g.degrees(candidates, mask)
         # positions in ``candidates``, so each group stays sorted by id
         by_type: dict[str, list[int]] = {}
@@ -236,31 +217,41 @@ def sample_subgraph(
             )
         layer.sort()
         layers.append(tuple(layer))
-        visited.update(layer)
         frontier = layer
-    induced = tuple(g.induced_edges(visited, mask))
-    return EgoSubgraph(center=center, layers=tuple(layers), induced_edges=induced)
+    # positions in ``EgoSubgraph.nodes``
+    index = {v: i for i, v in enumerate(chain([center], *layers))}
+    adjacency = tuple(
+        tuple(sorted(index[w] for w in (rows[v] if v in rows else g.all_neighbors(v, mask))
+                     if w in index))
+        for v in index
+    )
+    return EgoSubgraph(center, tuple(layers), adjacency, g, mask)
 
 
-def _walk_matrix(sub: EgoSubgraph, center: int) -> tuple[list[int], np.ndarray, int]:
+def _position(sub: EgoSubgraph, center: int) -> int:
+    """``center``'s position in ``sub.nodes``; it must have been sampled."""
+    if center not in sub.nodes:
+        raise UnknownNodeError(center)
+    return sub.nodes.index(center)
+
+
+def _walk_matrix(sub: EgoSubgraph, ci: int) -> np.ndarray:
     """Column-stochastic transition matrix of the subgraph walk.
 
     Column u spreads mass equally over u's subgraph neighbors; a node with
-    no subgraph edges sends its mass back to the center so the stationary
-    vector stays a proper distribution. Also returns the node order and
-    the center's position in it.
+    no subgraph edges sends its mass back to the center, at position
+    ``ci``, so the stationary vector stays a proper distribution.
     """
-    order, adj, ci = sub._walk_view(center)
-    n = len(order)
+    n = len(sub.nodes)
     m = np.zeros((n, n), dtype=np.float64)
-    for u, neigh in enumerate(adj):
+    for u, neigh in enumerate(sub.adjacency):
         if neigh:
             share = 1.0 / len(neigh)
             for w in neigh:
                 m[w, u] += share
         else:
             m[ci, u] = 1.0
-    return order, m, ci
+    return m
 
 
 def ppr_exact(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, float]:
@@ -272,13 +263,14 @@ def ppr_exact(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, float]:
     below 1e-10; that gap can reorder structurally tied nodes, so rankings
     apply the tie rule (``TIE_EPS``).
     """
-    order, m, ci = _walk_matrix(sub, center)
+    ci = _position(sub, center)
+    m = _walk_matrix(sub, ci)
     m *= alpha - 1.0
-    m.flat[:: len(order) + 1] += 1.0
-    rhs = np.zeros(len(order))
+    m.flat[:: len(m) + 1] += 1.0
+    rhs = np.zeros(len(m))
     rhs[ci] = alpha
     pi = np.linalg.solve(m, rhs)
-    return {v: float(pi[i]) for i, v in enumerate(order)}
+    return {v: float(pi[i]) for i, v in enumerate(sub.nodes)}
 
 
 def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, float]:
@@ -293,8 +285,9 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
     At the defaults push beats the solve of :func:`ppr_exact` only above ~220
     subgraph nodes (synthetic graphs of 10^4 and 10^5 nodes, 2-core Xeon).
     """
-    order, adj, ci = sub._walk_view(center)
-    n = len(order)
+    ci = _position(sub, center)
+    adj = sub.adjacency
+    n = len(adj)
     alpha = cfg.alpha
     r_max = cfg.push_tolerance
     estimate = [0.0] * n
@@ -327,7 +320,7 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
             if not in_queue[w] and residual[w] >= threshold[w]:
                 queue.append(w)
                 in_queue[w] = True
-    return dict(zip(order, estimate))
+    return dict(zip(sub.nodes, estimate))
 
 
 def top_k_anchors(

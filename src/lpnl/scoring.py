@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import threading
 import time
@@ -295,8 +296,8 @@ class HttpLlmScorer:
 
     Sends ``{"model": ..., "prompt": ..., "max_output_tokens": ...}`` as
     JSON and reads the completion from the usual response shapes. Retries
-    429/5xx and transport errors with exponential backoff, waiting at least
-    as long as a numeric ``Retry-After`` header asks (up to ``timeout``);
+    429/5xx and transport errors with jittered exponential backoff, waiting
+    at least as long as a numeric ``Retry-After`` header asks (up to ``timeout``);
     concurrent callers are bounded by a semaphore sized ``max_in_flight``,
     the one backend attribute :func:`lpnl.evaluation.run_benchmark` fans
     out by. Answers that resolve only by ``fallback`` are not cached, so a
@@ -371,7 +372,8 @@ class HttpLlmScorer:
             except requests.RequestException as exc:
                 last_error = TransportError(f"transport failure: {exc}")
             if attempt < self.cfg.max_retries - 1:
-                time.sleep(max(self.cfg.backoff * (2**attempt), retry_after))
+                # jittered, so workers that met the same 429 do not retry in lockstep
+                time.sleep(max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after))
         raise last_error or TransportError("remote completion failed")
 
     @staticmethod

@@ -185,7 +185,7 @@ def ppr_dense_solve(sub: EgoSubgraph, center: int, alpha: float) -> dict[int, fl
     in ``test_sampler_reference.py``, which the exact mode must match
     within 1e-10 at every node.
     """
-    order, adj = sub.adjacency()
+    order, adj = sub.nodes, sub.adjacency
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
     m = np.zeros((n, n))

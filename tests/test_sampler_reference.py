@@ -2,9 +2,10 @@
 
 The reference below is the earlier sampler: stage 1 calls
 ``layer_sampling_probs`` once per (type, layer) group, turns its dict
-back into an array and draws; stage 2 rebuilds a ``node -> position``
-dict in the adjacency, in the walk matrix and in each PPR mode, and
-computes exact PPR by power iteration. Every ``EgoSubgraph`` and every
+back into an array and draws, then builds the walk adjacency from
+``HetGraph.induced_edges`` triples by indexing and sorting them; stage 2
+rebuilds a ``node -> position`` dict in the walk matrix and in each PPR
+mode, and computes exact PPR by power iteration. Every ``EgoSubgraph`` and every
 forward-push score dict must be exactly equal, key order included. Exact
 PPR is now one linear solve, whose rounding differs from power
 iteration's: its scores must lie within 1e-10 of the reference's at every
@@ -88,20 +89,27 @@ def _ref_sample_subgraph(g, center, cfg, mask=None):
         layers.append(tuple(layer))
         visited.update(layer)
         frontier = layer
-    induced = tuple(g.induced_edges(visited, mask))
-    return EgoSubgraph(center=center, layers=tuple(layers), induced_edges=induced)
+    order = [center] + [v for layer in layers for v in layer]
+    triples = g.induced_edges(visited, mask)
+    adjacency = tuple(tuple(neigh) for neigh in _ref_index_and_sort(order, triples))
+    return EgoSubgraph(center, tuple(layers), adjacency, g, mask)
 
 
-def _ref_adjacency(sub):
-    order = list(sub.nodes)
+def _ref_index_and_sort(order, triples):
+    """Neighbor positions per node from typed edge triples, each list sorted."""
     index = {v: i for i, v in enumerate(order)}
     adj = [[] for _ in order]
-    for u, v, _ in sub.induced_edges:
+    for u, v, _ in triples:
         adj[index[u]].append(index[v])
         adj[index[v]].append(index[u])
     for lst in adj:
         lst.sort()
-    return order, adj
+    return adj
+
+
+def _ref_adjacency(sub):
+    order = list(sub.nodes)
+    return order, _ref_index_and_sort(order, sub.induced_edges)
 
 
 def _ref_walk_matrix(sub, center):
@@ -319,6 +327,72 @@ def test_degree_skew_centers_match_reference():
             for budget in (3, 8):
                 cfg = SamplerConfig(hops=hops, layer_budget=budget, anchor_k=20)
                 for mask in (None, _incident_mask(g, center, i)):
+                    _assert_matches_reference(g, center, cfg, mask)
+
+
+def test_task_masks_inside_subgraph_match_reference(synth_graph):
+    # The eval mask hides source-truth in both orientations. Decoy candidates
+    # never reach both endpoints, so the source's and the truth's other
+    # neighbors are centers too: their subgraphs hold the masked pair away
+    # from the center, often in the last layer, whose rows feed only the walk.
+    g = synth_graph
+    inner = centers = 0
+    for task in make_disambiguation_tasks(g, 12, 6, seed=1):
+        source, truth = g.id_of(task["source_id"]), g.id_of(task["truth_id"])
+        relation = task["relation"]
+        mask = EdgeMask([(source, truth, relation), (truth, source, relation)])
+        around = set(g.all_neighbors(source, mask)) | set(g.all_neighbors(truth, mask))
+        for center in [g.id_of(c) for c in task["candidate_ids"]] + sorted(around):
+            centers += 1
+            for hops in (2, 3):
+                cfg = SamplerConfig(hops=hops, anchor_k=20)
+                _assert_matches_reference(g, center, cfg, mask)
+                members = set(sample_subgraph(g, center, cfg, mask).nodes) - {center}
+                inner += source in members and truth in members
+    assert centers >= 100
+    assert inner >= 10
+
+
+def _self_loop_parallel_graph():
+    # a self-loop at n0 and n2; n0-n1 and n2-n3 joined by both edge types
+    node_types = [NodeType("n", 0, "ND")]
+    edge_types = [EdgeType("link", "n", "n"), EdgeType("tie", "n", "n")]
+    nodes = [(f"n{i}", "n", f"node {i}") for i in range(7)]
+    edges = [
+        ("n0", "n0", "link"),
+        ("n0", "n1", "link"),
+        ("n0", "n1", "tie"),
+        ("n1", "n2", "link"),
+        ("n2", "n2", "tie"),
+        ("n2", "n3", "link"),
+        ("n3", "n2", "tie"),
+        ("n1", "n4", "tie"),
+        ("n3", "n5", "link"),
+        ("n5", "n6", "tie"),
+    ]
+    return HetGraph(node_types, edge_types, nodes, edges)
+
+
+def test_self_loops_and_parallel_edges_match_reference():
+    g = _self_loop_parallel_graph()
+    n = {f"n{i}": g.id_of(f"n{i}") for i in range(7)}
+    masks = [
+        None,
+        EdgeMask([(n["n0"], n["n0"], "link")]),
+        EdgeMask([(n["n1"], n["n0"], "tie")]),  # reversed orientation
+        EdgeMask([(n["n0"], n["n1"], "link"), (n["n0"], n["n1"], "tie")]),
+        EdgeMask([(n["n2"], n["n2"], "tie"), (n["n2"], n["n3"], "tie")]),
+        EdgeMask([(n["n2"], n["n3"], "link"), (n["n2"], n["n3"], "tie"), (n["n0"], n["n0"], "link")]),
+    ]
+    sub = sample_subgraph(g, n["n2"], SamplerConfig(hops=1))
+    # the self-loop gives two entries, each type of n2-n3 its own
+    assert sub.adjacency[0].count(0) == 2
+    assert sub.adjacency[0].count(sub.nodes.index(n["n3"])) == 2
+    for center in n.values():
+        for hops in (1, 2, 3):
+            for budget in (1, 16):
+                cfg = SamplerConfig(hops=hops, layer_budget=budget, anchor_k=20)
+                for mask in masks:
                     _assert_matches_reference(g, center, cfg, mask)
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import helpers
-from lpnl.graph import EdgeMask, UnknownNodeError
+from lpnl.graph import EdgeMask, UnknownEdgeTypeError, UnknownNodeError
 from lpnl.sampling import (
     TIE_EPS,
     SamplerConfig,
@@ -153,6 +153,20 @@ def test_mask_invisible_vs_physical_removal():
         assert top_k_anchors(g, center, cfg, mask) == top_k_anchors(stripped, center, cfg)
 
 
+def test_sampler_mask_of_unknown_type_raises_and_unmatched_triples_hide_nothing():
+    g = helpers.toy_graph()
+    a1, p1, p2 = g.id_of("a1"), g.id_of("p1"), g.id_of("p2")
+    # a misspelled type must not leave the edge it meant to hide visible
+    with pytest.raises(UnknownEdgeTypeError):
+        top_k_anchors(g, p1, SamplerConfig(), EdgeMask([(a1, p1, "nope")]))
+    # unmatched endpoints, an out-of-range and a negative id
+    mask = EdgeMask([(a1, p2, "writes"), (len(g) + 3, p1, "writes"), (-1, a1, "writes")])
+    cfg = SamplerConfig(hops=2, anchor_k=10)
+    for center in range(len(g)):
+        assert sample_subgraph(g, center, cfg, mask) == sample_subgraph(g, center, cfg)
+        assert top_k_anchors(g, center, cfg, mask) == top_k_anchors(g, center, cfg)
+
+
 # -- PPR ------------------------------------------------------------------------
 
 
@@ -207,7 +221,7 @@ def test_ppr_approx_error_bounded_by_degree_tolerance():
     cfg = SamplerConfig(push_tolerance=1e-4, anchor_k=10)
     approx = ppr_approx(sub, 3, cfg)
     exact = ppr_exact(sub, 3, cfg.alpha)
-    order, adj = sub.adjacency()
+    order, adj = sub.nodes, sub.adjacency
     deg = {v: len(adj[i]) for i, v in enumerate(order)}
     for v in exact:
         assert abs(approx[v] - exact[v]) <= cfg.push_tolerance * max(deg[v], 1) + 1e-12

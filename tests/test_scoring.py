@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -310,6 +311,42 @@ def test_http_backend_honours_numeric_retry_after(http_server):
     assert time.perf_counter() - start >= 0.3
     assert script.requests_seen == 2
     assert resp.chosen == bundle.candidate_order[1]
+
+
+def test_http_backoff_is_jittered_and_never_below_retry_after(http_server, monkeypatch):
+    url, script = http_server
+    _, bundle = fixture()
+    # Retry-After per failed attempt: none, none, above the jittered step, below it
+    script.responses = [
+        (503, {}),
+        (503, {}),
+        (429, {}, {"Retry-After": "0.5"}),
+        (429, {}, {"Retry-After": "0.01"}),
+        (200, {"text": bundle.candidate_aliases[1]}),
+    ]
+    retry_after = [0.0, 0.0, 0.5, 0.01]
+    draws = iter([0.5, 1.0, 0.75, 0.6])
+    jitters, slept = [], []
+
+    def uniform(lo, hi):
+        assert (lo, hi) == (0.5, 1.0)
+        jitters.append(next(draws))
+        return jitters[-1]
+
+    monkeypatch.setattr(random, "uniform", uniform)
+    monkeypatch.setattr(time, "sleep", slept.append)
+    cfg = http_cfg(url, max_retries=5)
+    cfg.backoff = 0.1
+    resp = score(request_of(bundle), cfg)
+    assert resp.chosen == bundle.candidate_order[1]
+    assert script.requests_seen == 5 and len(slept) == 4
+    for attempt, (delay, jitter, floor) in enumerate(zip(slept, jitters, retry_after)):
+        step = 0.1 * 2**attempt
+        jittered = step * jitter
+        assert step / 2 <= jittered <= step
+        assert delay == max(jittered, floor)
+        assert delay >= floor
+    assert slept == pytest.approx([0.05, 0.2, 0.5, 0.48])
 
 
 @pytest.mark.parametrize(
