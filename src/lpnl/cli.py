@@ -190,7 +190,7 @@ def _cmd_sample(args, g: HetGraph, cfg: dict) -> int:
             record = {
                 "center": center_key,
                 "anchors": [
-                    {"id": g.key_of(v), "score": s} for v, s in anchors.entries
+                    {"id": g.key_of(v), "score": float(f"{s:.8g}")} for v, s in anchors.entries
                 ],
             }
             out.write(json.dumps(record, sort_keys=True) + "\n")
@@ -231,15 +231,14 @@ def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
     Candidate texts come from the graph, as in ``build_prompt``: a node's
     text may itself contain the prompt's separators.
     """
-    parsed = parse_prompt(record["text"])
+    segments = parse_prompt(record["text"]).candidate_segments
     candidates = tuple(g.id_of(c) for c in record["candidates"])
     return PromptBundle(
         text=record["text"],
         token_count=record["token_count"],
         source=g.id_of(record["source"]),
         candidate_order=candidates,
-        source_alias=parsed.source_segment.split(": ", 1)[0],
-        candidate_aliases=tuple(seg.split(": ", 1)[0] for seg in parsed.candidate_segments),
+        candidate_aliases=tuple(seg.split(": ", 1)[0] for seg in segments),
         candidate_texts=tuple(g.text(c) for c in candidates),
     )
 

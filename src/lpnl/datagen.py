@@ -11,8 +11,8 @@ The truth node is also withheld from the *source's* rendered anchor
 list: the masked edge already keeps it out of direct reach, but on dense
 graphs the truth can survive into the source's top-k through other
 paths, and a training input that names its own answer defeats the point.
-So is any other anchor that renders like the truth (same text, same
-identifier tag): a twin reads exactly like the answer.
+So is any other anchor that renders like the truth (the same
+:func:`~lpnl.prompts.node_label`): a twin reads exactly like the answer.
 :func:`leakage_audit` enforces exactly this.
 """
 
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .graph import EdgeMask, HetGraph
-from .prompts import PromptConfig, build_prompt, parse_prompt
+from .prompts import PromptConfig, build_prompt, node_label, parse_prompt
 from .sampling import SamplerConfig, anchors_for
 
 logger = logging.getLogger(__name__)
@@ -124,9 +124,9 @@ def _split_of(value: float, boundaries: tuple[float, float]) -> str:
     return "test"
 
 
-def _rendered_as(g: HetGraph, v: int) -> tuple[str, str]:
-    """What a prompt shows of ``v``: its text and identifier tag."""
-    return g.text(v), g.type_of(v).identifier_tag
+def _node_label(g: HetGraph, v: int) -> str:
+    """What a prompt shows of ``v`` after its alias."""
+    return node_label(g.text(v), g.type_of(v).identifier_tag)
 
 
 def _true_neighbors(g: HetGraph, source: int, relation: str) -> set[int]:
@@ -243,11 +243,11 @@ def generate_examples(
         candidates.insert(position, truth)
 
         anchors = anchors_for(g, (source, *candidates), sampler_cfg, mask)
-        truth_look = _rendered_as(g, truth)
+        truth_label = _node_label(g, truth)
         anchors[source] = replace(
             anchors[source],
             entries=tuple(
-                e for e in anchors[source].entries if _rendered_as(g, e[0]) != truth_look
+                e for e in anchors[source].entries if _node_label(g, e[0]) != truth_label
             ),
         )
 
@@ -284,8 +284,8 @@ def leakage_audit(
     """Verify no training input names its own answer in the source block.
 
     For each example the rendered input is parsed back into segments and
-    the source description is searched for the truth node's text. Any hit
-    means the truth reached the source's rendered anchors.
+    the source description is searched for the truth node's label. Any hit
+    means the truth, or a twin of it, reached the source's rendered anchors.
     """
     if isinstance(corpus, str):
         corpus = read_examples(corpus, g)
@@ -294,10 +294,8 @@ def leakage_audit(
     for example in corpus:
         scanned += 1
         parsed = parse_prompt(example.input_text)
-        # match the rendered form ": <text> [<tag>]", not a bare substring:
-        # one node's text may be a prefix of another's
-        needle = f": {g.text(example.truth_id)} [{g.type_of(example.truth_id).identifier_tag}]"
-        if parsed.source_segment.find(needle) >= 0:
+        # the whole label, not the bare text: one node's text may be a prefix of another's
+        if _node_label(g, example.truth_id) in parsed.source_segment:
             violations.append(
                 {
                     "index": scanned - 1,

@@ -63,7 +63,9 @@ class GraphFormatError(ValueError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        where = f"{path}:{line}: " if path is not None and line is not None else ""
+        where = ""
+        if path is not None:
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
 
 
@@ -102,6 +104,8 @@ class Node:
 
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+# tab, newline and every other C0/C1 control character
+_ANY_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _WHITESPACE_RUN = re.compile(r"\s+")
 
 
@@ -113,6 +117,15 @@ def normalize_text(text: str) -> str:
     """
     text = _CONTROL_CHARS.sub("", text)
     return _WHITESPACE_RUN.sub(" ", text).strip()
+
+
+def _check_schema_name(what: str, name: object) -> None:
+    """Type names and tags go verbatim into prompt lines and TSV fields."""
+    if not isinstance(name, str) or not name or _ANY_CONTROL_CHAR.search(name):
+        raise GraphFormatError(
+            f"{what} {name!r} must be a non-empty string without tabs, newlines "
+            "or other control characters"
+        )
 
 
 def _escape_field(text: str) -> str:
@@ -175,6 +188,11 @@ class HetGraph:
         *,
         _source: str | None = None,
     ):
+        for nt in node_types:
+            _check_schema_name("node type name", nt.name)
+            _check_schema_name(f"identifier tag of node type {nt.name!r}", nt.identifier_tag)
+        for et in edge_types:
+            _check_schema_name("edge type name", et.name)
         self.node_types: dict[str, NodeType] = {nt.name: nt for nt in node_types}
         if len(self.node_types) != len(node_types):
             raise GraphFormatError("duplicate node type name in schema")
@@ -494,8 +512,9 @@ def load_graph(node_file: str, edge_file: str, schema: str) -> HetGraph:
 
     Raises :class:`GraphFormatError` on malformed records, unknown type
     names, dangling edge endpoints, or duplicate node ids; an error about
-    a record names its file and line. Records stream into
-    :class:`HetGraph`, which normalises each node's text once.
+    a record names its file and line, one about the schema its path.
+    Records stream into :class:`HetGraph`, which normalises each node's
+    text once.
     """
     node_types, edge_types = _read_schema(schema)
     where: list = [None, None]  # file and line of the record being added
@@ -507,9 +526,11 @@ def load_graph(node_file: str, edge_file: str, schema: str) -> HetGraph:
     try:
         return HetGraph(node_types, edge_types, nodes, edges, _source=node_file)
     except GraphFormatError as exc:
-        if exc.path is not None or where[0] is None:
+        if exc.path is not None:
             raise
-        raise GraphFormatError(str(exc), path=where[0], line=where[1]) from exc
+        # before the first record is read, only the schema can be at fault
+        path, line = where if where[0] is not None else (schema, None)
+        raise GraphFormatError(str(exc), path=path, line=line) from exc
 
 
 def save_graph(g: HetGraph, node_file: str, edge_file: str, schema_file: str) -> None:

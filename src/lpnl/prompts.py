@@ -12,9 +12,12 @@ A node description reads ``p1: Some title [PA]`` optionally followed by
 `` is related with a1: ... [AU], f1: ... [FD]`` listing its anchors in
 importance order. Local aliases (``p1``, ``a1``, ...) are assigned per
 prompt in first-appearance order; the bracketed tag is the node type's
-identifier tag. Newlines cannot occur inside node text (normalization
-collapses them), which makes the line-oriented grammar parseable — see
-:func:`parse_prompt`.
+identifier tag. What follows an alias, ``": <text> [<TAG>]"``, is the
+node's label; :func:`node_label` is the one place that spells it, and the
+training-data generator and its leakage audit search prompts for it.
+Newlines cannot occur inside node text (normalization collapses them) or
+type names and tags (the graph rejects them), which makes the
+line-oriented grammar parseable — see :func:`parse_prompt`.
 
 To fit the token budget, :func:`build_prompt` drops anchor tails along a
 fixed shrink schedule and binary-searches it for the first step that fits,
@@ -43,6 +46,7 @@ __all__ = [
     "BudgetUnsatisfiableError",
     "EmptyNodeTextError",
     "describe_node",
+    "node_label",
     "build_prompt",
     "estimate_tokens",
     "parse_prompt",
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 RELATED_WITH = " is related with "
+ANCHOR_SEPARATOR = ", "
 SHRINK_STEP = 5
 TOKEN_ESTIMATORS = ("chars_div_4", "whitespace")
 
@@ -91,7 +96,6 @@ class PromptConfig:
     token_budget: int = 1024
     token_estimator: str | Callable[[str], int] = "chars_div_4"
     question_templates: Mapping[str, str] = field(default_factory=dict)
-    anchor_separator: str = ", "
 
     def __post_init__(self):
         if self.token_budget < 64:
@@ -99,8 +103,6 @@ class PromptConfig:
         if isinstance(self.token_estimator, str) and self.token_estimator not in TOKEN_ESTIMATORS:
             raise ValueError(f"unknown token estimator {self.token_estimator!r}")
         # newlines separate prompt segments; normalization strips them from node text
-        if "\n" in self.anchor_separator:
-            raise ValueError("anchor_separator must not contain newlines")
         for name, template in self.question_templates.items():
             if "\n" in template:
                 raise ValueError(f"question template for {name!r} must be single-line")
@@ -129,14 +131,14 @@ class PromptBundle:
     ``candidate_order`` lists candidate node ids in the exact order their
     descriptions appear in ``text``; ``candidate_aliases`` and
     ``candidate_texts`` are aligned with it so answers can be resolved
-    without re-reading the graph.
+    without re-reading the graph. The source's alias is the first of its
+    type, e.g. ``p1``.
     """
 
     text: str
     token_count: int
     source: int
     candidate_order: tuple[int, ...]
-    source_alias: str
     candidate_aliases: tuple[str, ...]
     candidate_texts: tuple[str, ...]
 
@@ -174,6 +176,11 @@ def _alias_prefixes(g: HetGraph) -> dict[str, str]:
     return prefixes
 
 
+def node_label(text: str, tag: str) -> str:
+    """How a prompt shows a node after its alias: ``": <text> [<TAG>]"``."""
+    return f": {text} [{tag}]"
+
+
 def _node_labels(
     g: HetGraph, prefixes: Mapping[str, str], nodes: Iterable[int]
 ) -> dict[int, tuple[str, str]]:
@@ -191,7 +198,7 @@ def _node_labels(
         if not text:
             raise EmptyNodeTextError(v)
         nt = g._type_of[v]
-        labels[v] = (prefixes[nt.name], f": {text} [{nt.identifier_tag}]")
+        labels[v] = (prefixes[nt.name], node_label(text, nt.identifier_tag))
     return labels
 
 
@@ -214,14 +221,12 @@ class _AliasAllocator:
         self._assigned[v] = alias
         return alias
 
-    def describe(
-        self, v: int, anchors: Sequence[tuple[int, float]], max_anchors: int, sep: str
-    ) -> str:
+    def describe(self, v: int, anchors: Sequence[tuple[int, float]], max_anchors: int) -> str:
         """``v``'s description with the first ``max_anchors`` of its anchors."""
         labels = self._labels
         head = self.alias(v) + labels[v][1]
         if max_anchors > 0 and anchors:
-            head += RELATED_WITH + sep.join(
+            head += RELATED_WITH + ANCHOR_SEPARATOR.join(
                 [self.alias(a) + labels[a][1] for a, _ in anchors[:max_anchors]]
             )
         return head
@@ -246,7 +251,7 @@ def describe_node(
     used = max(0, min(max_anchors, len(anchors.entries)))
     shown = [a for a, _ in anchors.entries[:used]]
     labels = _node_labels(g, _alias_prefixes(g), [v, *shown])
-    rendered = _AliasAllocator(labels).describe(v, anchors.entries, used, cfg.anchor_separator)
+    rendered = _AliasAllocator(labels).describe(v, anchors.entries, used)
     return NodeDescription(subject=v, rendered=rendered, anchors_used=used)
 
 
@@ -283,8 +288,11 @@ def build_prompt(
     then the source's, each in steps of 5 down to zero. The result is the
     first step of that schedule whose render fits. A binary search over the
     schedule finds it in about log2 of its length renders, each measured by
-    :func:`estimate_tokens`; every node's label is built and checked once
-    per call, in full-render order, and shared by those renders.
+    :func:`estimate_tokens`; every node's label (:func:`node_label`) is
+    built and checked once per call, in full-render order, and shared by
+    those renders. Anchors are joined by ``ANCHOR_SEPARATOR``. The text has
+    one line per segment, ``2 + len(candidates)`` in all, which
+    :func:`parse_prompt` splits back and the scorers rely on.
 
     The search returns the step a walk down the schedule would return as
     long as a render with fewer anchors never has more tokens. The
@@ -330,15 +338,14 @@ def build_prompt(
         order.append(c)
         order.extend(a for a, _ in entries)
     labels = _node_labels(g, prefixes, order)
-    sep = cfg.anchor_separator
 
     def render(src_k: int, cand_k: int) -> tuple[str, int, tuple[str, ...]]:
         aliases = _AliasAllocator(labels)
-        lines = [question, aliases.describe(source, source_entries, src_k, sep)]
+        lines = [question, aliases.describe(source, source_entries, src_k)]
         cand_aliases = []
         for c, entries in zip(candidates, cand_entries):
             cand_aliases.append(aliases.alias(c))
-            lines.append(aliases.describe(c, entries, cand_k, sep))
+            lines.append(aliases.describe(c, entries, cand_k))
         text = "\n".join(lines)
         return text, estimate_tokens(text, cfg), tuple(cand_aliases)
 
@@ -363,7 +370,6 @@ def build_prompt(
         token_count=token_count,
         source=source,
         candidate_order=tuple(int(c) for c in candidates),
-        source_alias=source_alias,
         candidate_aliases=cand_aliases,
         candidate_texts=tuple(g.text(c) for c in candidates),
     )

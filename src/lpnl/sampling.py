@@ -165,19 +165,11 @@ def _squared_degree_probs(degrees: np.ndarray) -> np.ndarray:
 def _draw_without_replacement(
     rng: np.random.Generator, members: list[int], probs: np.ndarray, take: int
 ) -> list[int]:
+    # every candidate keeps the edge it was reached by, so no weight is zero
     if take >= len(members):
         return list(members)
-    nonzero = int(np.count_nonzero(probs))
-    if take <= nonzero:
-        picked = rng.choice(len(members), size=take, replace=False, p=probs)
-        return [members[i] for i in picked]
-    # Degenerate group: fewer positive-probability nodes than the budget.
-    # Take every positive-weight node, fill the rest uniformly.
-    positive = [i for i in range(len(members)) if probs[i] > 0]
-    zero = [i for i in range(len(members)) if probs[i] == 0]
-    fill = rng.choice(len(zero), size=take - nonzero, replace=False)
-    picked = positive + [zero[i] for i in fill]
-    return [members[i] for i in sorted(picked)]
+    picked = rng.choice(len(members), size=take, replace=False, p=probs)
+    return [members[i] for i in picked]
 
 
 def sample_subgraph(

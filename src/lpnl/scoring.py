@@ -17,8 +17,9 @@ testable) offline:
     trigrams with the source description — cheap content awareness.
 
 Whatever the backend emits, the response's ``chosen`` is always a member
-of the bundle's candidates: free-text model output is resolved through
-a ladder (alias token, text prefix, trigram similarity) and, failing all
+of the bundle's candidates. :func:`resolve_output` is the one way model
+text becomes a candidate, for fresh and cached ``http_llm`` answers alike:
+a ladder (alias token, text prefix, trigram similarity) that, failing all
 rungs, falls back to the first candidate with ``resolution="fallback"``.
 """
 
@@ -83,7 +84,8 @@ class ScorerBackendConfig:
     variable that holds the API key.
 
     ``max_in_flight`` is the ``http_llm`` request ceiling and the eval task
-    fan-out width; the CPU-bound offline backends ignore it.
+    fan-out width; the CPU-bound offline backends ignore it. ``max_retries``
+    counts attempts: 1 sends each request once. ``timeout`` is in seconds.
     """
 
     kind: str = "lexical_overlap"
@@ -106,6 +108,10 @@ class ScorerBackendConfig:
             raise ValueError("http_llm backend requires endpoint_url and model_name")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries counts attempts and must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0 seconds")
 
 
 # -- answer resolution --------------------------------------------------------
@@ -117,6 +123,12 @@ _ALIAS_UNDERSCORE = re.compile(r"([a-z]+)_(\d+)")
 def _trigrams(text: str) -> set[tuple[str, str, str]]:
     t = text.lower()
     return set(zip(t, t[1:], t[2:]))
+
+
+def _overlaps(text: str, segments: tuple[str, ...]) -> list[int]:
+    """How many character trigrams ``text`` shares with each segment."""
+    grams = _trigrams(text)
+    return [len(grams & _trigrams(segment)) for segment in segments]
 
 
 def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
@@ -147,16 +159,10 @@ def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
             if lowered.startswith(core) or (len(lowered) >= 4 and core.startswith(lowered)):
                 return candidates[i], RESOLUTION_EXACT
 
-    grams = _trigrams(normalized)
-    if grams:
-        try:
-            segments = parse_prompt(bundle.text).candidate_segments
-        except ValueError:
-            segments = bundle.candidate_texts
-        overlaps = [len(grams & _trigrams(seg)) for seg in segments]
-        best = max(overlaps)
-        if best > 0:
-            return candidates[overlaps.index(best)], RESOLUTION_FUZZY
+    overlaps = _overlaps(normalized, parse_prompt(bundle.text).candidate_segments)
+    best = max(overlaps)
+    if best > 0:
+        return candidates[overlaps.index(best)], RESOLUTION_FUZZY
 
     logger.warning("unresolvable scorer output %r; falling back to first candidate", raw[:80])
     return candidates[0], RESOLUTION_FALLBACK
@@ -174,11 +180,13 @@ def prompt_hash(prompt_text: str, model_name: str, max_output_tokens: int) -> st
 class ResponseCache:
     """Append-only newline-delimited JSON cache keyed by prompt hash.
 
-    Lines are ``{hash, model, chosen_node_id, raw_output, resolution}``.
-    Corrupt lines are skipped with a warning. Hits bypass the network but
-    never change which candidate is chosen: a cached node id that is not
-    among the current bundle's candidates is re-resolved from the cached
-    raw output (dense node ids are only stable within one graph load).
+    Lines are ``{hash, model, chosen_node_id, raw_output, resolution}``;
+    ``chosen_node_id`` and ``resolution`` record what the writing run
+    resolved. A hit replays only ``raw_output``, which the scorer resolves
+    like a fresh answer: dense node ids are only stable within one graph
+    load, while the hashed prompt text fixes what the answer resolves to.
+    Corrupt lines and lines without a string ``raw_output`` are skipped
+    with a warning.
     """
 
     def __init__(self, path: str):
@@ -197,9 +205,12 @@ class ResponseCache:
                     continue
                 try:
                     record = json.loads(line)
-                    self._entries[record["hash"]] = record
+                    if isinstance(record["raw_output"], str):
+                        self._entries[record["hash"]] = record
+                        continue
                 except (json.JSONDecodeError, KeyError, TypeError):
-                    logger.warning("skipping corrupt cache line %s:%d", self.path, lineno)
+                    pass
+                logger.warning("skipping corrupt cache line %s:%d", self.path, lineno)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -280,15 +291,8 @@ class LexicalOverlapScorer:
 
     def score(self, bundle: PromptBundle) -> ScorerResponse:
         parsed = parse_prompt(bundle.text)
-        source_grams = _trigrams(parsed.source_segment)
-        best_i = 0
-        best_overlap = -1
-        for i, segment in enumerate(parsed.candidate_segments):
-            overlap = len(source_grams & _trigrams(segment))
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_i = i
-        return _answer(bundle, best_i)
+        overlaps = _overlaps(parsed.source_segment, parsed.candidate_segments)
+        return _answer(bundle, overlaps.index(max(overlaps)))
 
 
 class HttpLlmScorer:
@@ -300,8 +304,9 @@ class HttpLlmScorer:
     at least as long as a numeric ``Retry-After`` header asks (up to ``timeout``);
     concurrent callers are bounded by a semaphore sized ``max_in_flight``,
     the one backend attribute :func:`lpnl.evaluation.run_benchmark` fans
-    out by. Answers that resolve only by ``fallback`` are not cached, so a
-    later call asks the model again.
+    out by. Fresh and cached answers alike go through :func:`resolve_output`.
+    Answers that resolve only by ``fallback`` are not cached, so a later
+    call asks the model again.
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
@@ -321,26 +326,14 @@ class HttpLlmScorer:
                 )
 
     def score(self, bundle: PromptBundle) -> ScorerResponse:
-        key = prompt_hash(bundle.text, self.cfg.model_name or "", self.cfg.max_output_tokens)
-        if self.cache is not None:
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                return self._from_cache(hit, bundle)
-        raw = self._complete(bundle.text)
+        key = prompt_hash(bundle.text, self.cfg.model_name, self.cfg.max_output_tokens)
+        hit = self.cache.lookup(key) if self.cache is not None else None
+        raw = hit["raw_output"] if hit is not None else self._complete(bundle.text)
         chosen, resolution = resolve_output(raw, bundle)
         response = ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
-        if self.cache is not None and resolution != RESOLUTION_FALLBACK:
-            self.cache.store(key, self.cfg.model_name or "", response)
+        if hit is None and self.cache is not None and resolution != RESOLUTION_FALLBACK:
+            self.cache.store(key, self.cfg.model_name, response)
         return response
-
-    def _from_cache(self, record: dict, bundle: PromptBundle) -> ScorerResponse:
-        chosen = record.get("chosen_node_id")
-        raw = record.get("raw_output", "")
-        resolution = record.get("resolution", RESOLUTION_FALLBACK)
-        if chosen in bundle.candidate_order:
-            return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
-        chosen, resolution = resolve_output(raw, bundle)
-        return ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
 
     def _complete(self, prompt_text: str) -> str:
         body = {

@@ -257,7 +257,7 @@ FLAG_VALUES = {
 BAD_VALUES = {
     "--hops": "9", "--alpha": "1.5", "--token-budget": "10", "--max-in-flight": "0",
     "--length-limit": "1", "--seed": "-1", "--candidates-per-example": "1",
-    "--split-boundaries": "2015;2016",
+    "--split-boundaries": "2015;2016", "--max-retries": "0", "--timeout": "0",
 }
 
 
@@ -301,8 +301,7 @@ def _configs(graph):
                     "ppr_mode": "exact_power_iteration", "push_tolerance": 1e-5,
                     "rng_seed": 11},
         "prompt": {"token_budget": 2048, "token_estimator": "chars_div_4",
-                   "question_templates": {"authored_by": "Who wrote {source_alias}?"},
-                   "anchor_separator": "; "},
+                   "question_templates": {"authored_by": "Who wrote {source_alias}?"}},
         "scorer": {"kind": "http_llm", "endpoint_url": "http://127.0.0.1:9/cfg",
                    "model_name": "cfg-model", "api_key_env_var": "CFG_KEY", "timeout": 9.0,
                    "max_retries": 5, "backoff": 0.5, "cache_path": "cfg-cache.ndjson",
@@ -403,6 +402,7 @@ def test_sections_match_reference(command, graph_files, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("section,key", [
     ("graph", "nodez"), ("sampler", "hop"), ("prompt", "segment_separator"),
+    ("prompt", "anchor_separator"),
     ("scorer", "backend"), ("dnc", "limit"), ("datagen", "policy"),
 ])
 def test_unknown_config_key_names_section_and_key(section, key, graph_files, tmp_path, caplog):

@@ -6,7 +6,10 @@ import pytest
 import helpers
 from lpnl.graph import (
     EdgeMask,
+    EdgeType,
     GraphFormatError,
+    HetGraph,
+    NodeType,
     UnknownEdgeTypeError,
     UnknownNodeError,
     load_graph,
@@ -203,6 +206,40 @@ def test_text_escapes_roundtrip(tmp_path):
     save_graph(g3, str(tmp_path / "n4.tsv"), str(tmp_path / "e4.tsv"), str(tmp_path / "s4.json"))
     g4 = load_graph(str(tmp_path / "n4.tsv"), str(tmp_path / "e4.tsv"), str(tmp_path / "s4.json"))
     assert [g4.text(v) for v in range(len(g4))] == [g3.text(v) for v in range(len(g3))]
+
+
+BAD_SCHEMA_NAMES = ["", "P\nA", "P\tA", "P\rA", "P\x1bA", "P\x85A"]
+
+
+@pytest.mark.parametrize("name", BAD_SCHEMA_NAMES)
+@pytest.mark.parametrize("where", ["node type name", "identifier tag", "edge type name"])
+def test_schema_names_that_break_prompts_or_files_are_rejected(name, where):
+    # type names and tags go verbatim into prompt lines and TSV fields
+    node_types, edge_types = helpers.toy_schema()
+    if where == "node type name":
+        node_types[2] = NodeType(name, 2, "VN")
+        edge_types = edge_types[:1]
+    elif where == "identifier tag":
+        node_types[0] = NodeType("paper", 0, name)
+    else:
+        edge_types[1] = EdgeType(name, "paper", "venue")
+    with pytest.raises(GraphFormatError, match=where) as info:
+        HetGraph(node_types, edge_types, [], [])
+    assert repr(name) in str(info.value)
+
+
+def test_load_graph_names_the_schema_of_a_bad_tag(toy_files, tmp_path):
+    nodes, edges, _ = toy_files
+    schema = tmp_path / "tagged.json"
+    schema.write_text(json.dumps({
+        "node_types": [{"name": "paper", "identifier_tag": "P\nA"},
+                       {"name": "author", "identifier_tag": "AU"},
+                       {"name": "venue", "identifier_tag": "VN"}],
+        "edge_types": [],
+    }))
+    with pytest.raises(GraphFormatError, match=r"tagged\.json: identifier tag") as info:
+        load_graph(nodes, edges, str(schema))
+    assert info.value.path == str(schema) and info.value.line is None
 
 
 def test_normalize_text():

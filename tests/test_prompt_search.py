@@ -56,7 +56,7 @@ def _ref_description(g, v, anchors, max_anchors, cfg, aliases):
     head = _ref_render_one(g, v, aliases)
     if max_anchors > 0 and anchors.entries:
         rendered = [_ref_render_one(g, a, aliases) for a, _ in anchors.entries[:max_anchors]]
-        head = head + " is related with " + cfg.anchor_separator.join(rendered)
+        head = head + " is related with " + ", ".join(rendered)
     return head
 
 
@@ -75,7 +75,6 @@ def _ref_render(g, source, relation, candidates, anchor_source, cfg, src_k, cand
         token_count=estimate_tokens(text, cfg),
         source=source,
         candidate_order=tuple(int(c) for c in candidates),
-        source_alias=source_alias,
         candidate_aliases=tuple(cand_aliases),
         candidate_texts=tuple(g.text(c) for c in candidates),
     )

@@ -116,7 +116,7 @@ def test_build_prompt_shape_and_order():
         assert segment.startswith(f"{alias}: {text} [")
     # aliases are dense, per type, in first-appearance order; a node seen
     # earlier (a1 is one of p0's anchors) keeps its alias
-    assert bundle.source_alias == "p1"
+    assert parsed.source_segment.startswith("p1: ")
     assert bundle.candidate_aliases == ("a1", "a2", "a3")
 
 

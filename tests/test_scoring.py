@@ -1,4 +1,5 @@
 import json
+import logging
 import multiprocessing
 import random
 import threading
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import PromptConfig, build_prompt
 from lpnl.sampling import AnchorList
@@ -376,13 +378,19 @@ def test_http_backend_gives_up_after_retries(http_server):
     assert script.requests_seen == 2
 
 
-def test_http_cache_bypasses_network(tmp_path, http_server):
+@pytest.mark.parametrize("answer, resolution", [
+    ("a3", "alias_match"),
+    ("Bren Holt studies", "exact_match"),
+    ("waves seismic studies Holt Bren", "fuzzy_match"),
+], ids=["alias", "exact", "fuzzy"])
+def test_http_cache_bypasses_network(tmp_path, http_server, answer, resolution):
     url, script = http_server
     _, bundle = fixture()
-    script.responses = [(200, {"text": bundle.candidate_aliases[2]})]
+    script.responses = [(200, {"text": answer})]
     cfg = http_cfg(url, cache_path=str(tmp_path / "c.jsonl"))
     scorer = make_scorer(cfg)
     first = scorer.score(request_of(bundle))
+    assert first.resolution == resolution
     second = scorer.score(request_of(bundle))
     assert script.requests_seen == 1
     assert first == second
@@ -391,6 +399,54 @@ def test_http_cache_bypasses_network(tmp_path, http_server):
     third = scorer2.score(request_of(bundle))
     assert script.requests_seen == 1
     assert third == first
+
+
+def _toy_bundle(nodes):
+    """Source a1, relation writes, candidates p1 and p2, on the toy graph with these node lines."""
+    g = HetGraph(*helpers.toy_schema(), nodes, [("a1", "p1", "writes"), ("a2", "p1", "writes")])
+    anchors = {v: AnchorList(v, ()) for v in range(len(g))}
+    candidates = [g.id_of("p1"), g.id_of("p2")]
+    return g, build_prompt(g.id_of("a1"), "writes", candidates, anchors, g, PromptConfig())
+
+
+def test_http_cache_replay_survives_reordered_node_file(tmp_path, http_server):
+    # dense ids follow the node file's order; the cached answer names its candidate by text
+    url, script = http_server
+    script.responses = [(200, {"text": "p2: adaptive kernels"})]
+    nodes = [
+        ("p1", "paper", "spectral methods for sparse graphs"),
+        ("p2", "paper", "adaptive kernels in noisy settings"),
+        ("a1", "author", "Alva Mercer (graph algorithms)"),
+        ("a2", "author", "Bren Holt (numerical methods)"),
+    ]
+    cfg = http_cfg(url, cache_path=str(tmp_path / "c.jsonl"))
+    g, bundle = _toy_bundle(nodes)
+    cold = make_scorer(cfg).score(bundle)
+    assert (g.key_of(cold.chosen), cold.resolution) == ("p2", "alias_match")
+    swapped_g, swapped = _toy_bundle([nodes[1], nodes[0], *nodes[2:]])
+    assert swapped.text == bundle.text
+    replay = make_scorer(cfg).score(swapped)
+    assert script.requests_seen == 1
+    assert (swapped_g.key_of(replay.chosen), replay.resolution) == ("p2", "alias_match")
+
+
+@pytest.mark.parametrize("raw", ["missing", None, 7, ["a1"]])
+def test_http_cache_line_without_raw_text_is_asked_again(tmp_path, http_server, caplog, raw):
+    url, script = http_server
+    _, bundle = fixture()
+    script.responses = [(200, {"text": bundle.candidate_aliases[1]})]
+    record = {"hash": prompt_hash(bundle.text, "test-model", 64), "model": "test-model",
+              "chosen_node_id": bundle.candidate_order[2], "resolution": "alias_match"}
+    if raw != "missing":
+        record["raw_output"] = raw
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with caplog.at_level(logging.WARNING, logger="lpnl.scoring"):
+        scorer = make_scorer(http_cfg(url, cache_path=str(path)))
+    assert "skipping corrupt cache line" in caplog.text
+    resp = scorer.score(bundle)
+    assert script.requests_seen == 1
+    assert (resp.chosen, resp.resolution) == (bundle.candidate_order[1], "alias_match")
 
 
 def test_http_cache_skips_fallback_answers(tmp_path, http_server):
@@ -435,6 +491,26 @@ def test_http_cache_transparent_for_choices(tmp_path, http_server):
 def test_http_requires_endpoint_and_model():
     with pytest.raises(ValueError):
         ScorerBackendConfig(kind="http_llm")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_retries", 0), ("max_retries", -1), ("timeout", 0.0), ("timeout", -2.0),
+    ("timeout", float("nan")),
+])
+def test_http_settings_that_cannot_work_are_rejected(name, value):
+    # max_retries counts attempts: 0 would send nothing; requests refuses a 0 timeout
+    with pytest.raises(ValueError, match=name):
+        ScorerBackendConfig(kind="http_llm", endpoint_url="http://127.0.0.1:9/", model_name="m",
+                            **{name: value})
+
+
+def test_http_one_attempt_sends_one_request(http_server):
+    url, script = http_server
+    _, bundle = fixture()
+    script.responses = [(500, {})]
+    with pytest.raises(TransportError):
+        score(request_of(bundle), http_cfg(url, max_retries=1))
+    assert script.requests_seen == 1
 
 
 def test_openai_style_response_shapes(http_server):
