@@ -281,7 +281,7 @@ def _trace_record(trace, g: HetGraph) -> dict:
 
 def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
     sampler_cfg, prompt_cfg, dnc_cfg = cfg["sampler"], cfg["prompt"], cfg["dnc"]
-    # one backend for every task, so its cache and session load once
+    # one backend for every task, so its cache and connections load once
     scorer = None if args.dry_run else make_scorer(cfg["scorer"])
     status = 0
     with _output(args.out) as out:

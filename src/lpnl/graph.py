@@ -159,12 +159,6 @@ class EdgeMask:
         # traversal resolves the same mask many times per sample
         self._resolution: tuple[HetGraph, frozenset[tuple[int, int, str]]] | None = None
 
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __iter__(self) -> Iterator[tuple[int, int, str]]:
-        return iter(sorted(self._triples))
-
     def __bool__(self) -> bool:
         return bool(self._triples)
 

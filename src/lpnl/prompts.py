@@ -158,12 +158,16 @@ def estimate_tokens(text: str, cfg: PromptConfig) -> int:
 
 
 def _alias_prefixes(g: HetGraph) -> dict[str, str]:
-    """Shortest unambiguous lowercase prefix per node type name."""
+    """Shortest unambiguous lowercase prefix per node type name.
+
+    Only ASCII letters are kept, because answer resolution splits tokens
+    on anything outside ``[0-9a-z]``; a name with none gets ``"n"``.
+    """
     ordered = sorted(g.node_types.values(), key=lambda nt: nt.type_id)
     taken: set[str] = set()
     prefixes: dict[str, str] = {}
     for nt in ordered:
-        cleaned = "".join(ch for ch in nt.name.lower() if ch.isalpha()) or "n"
+        cleaned = "".join(ch for ch in nt.name.lower() if ch.isascii() and ch.isalpha()) or "n"
         chosen = None
         for size in range(1, len(cleaned) + 1):
             if cleaned[:size] not in taken:

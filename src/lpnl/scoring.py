@@ -26,17 +26,20 @@ rungs, falls back to the first candidate with ``resolution="fallback"``.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
 import random
 import re
+import selectors
+import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
+from urllib.parse import urlsplit
 
 from .prompts import PromptBundle, parse_prompt
 
@@ -106,12 +109,27 @@ class ScorerBackendConfig:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}")
         if self.kind == "http_llm" and (not self.endpoint_url or not self.model_name):
             raise ValueError("http_llm backend requires endpoint_url and model_name")
+        if self.endpoint_url:
+            _check_endpoint_url(self.endpoint_url)
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries counts attempts and must be >= 1")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0 seconds")
+
+
+def _check_endpoint_url(value: str) -> None:
+    """Reject a URL that :class:`HttpLlmScorer` cannot send to, naming the field."""
+    url = urlsplit(value)
+    try:
+        url.port  # raises on a port that is not a number in 0-65535
+    except ValueError as exc:
+        raise ValueError(f"endpoint_url {value!r}: {exc}") from None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(
+            f"endpoint_url must be an http:// or https:// URL with a host, got {value!r}"
+        )
 
 
 # -- answer resolution --------------------------------------------------------
@@ -300,11 +318,22 @@ class HttpLlmScorer:
 
     Sends ``{"model": ..., "prompt": ..., "max_output_tokens": ...}`` as
     JSON and reads the completion from the usual response shapes. Retries
-    429/5xx and transport errors with jittered exponential backoff, waiting
-    at least as long as a numeric ``Retry-After`` header asks (up to ``timeout``);
-    concurrent callers are bounded by a semaphore sized ``max_in_flight``,
-    the one backend attribute :func:`lpnl.evaluation.run_benchmark` fans
-    out by. Fresh and cached answers alike go through :func:`resolve_output`.
+    429/5xx, transport errors and 2xx bodies that are not JSON with jittered
+    exponential backoff, waiting at least as long as a numeric
+    ``Retry-After`` header asks (up to ``timeout``); any other status,
+    redirects included, is rejected without a retry. Concurrent callers are
+    bounded by a semaphore sized ``max_in_flight``, the one backend
+    attribute :func:`lpnl.evaluation.run_benchmark` fans out by.
+
+    Requests go over the standard library's :mod:`http.client`, one
+    keep-alive connection per in-flight slot: a caller takes an idle
+    connection, or opens one, only while it holds the semaphore, so no more
+    than ``max_in_flight`` connections are ever open. A connection the
+    server closed while it sat idle is replaced before the request is sent,
+    without spending an attempt. No proxy, ``.netrc`` or gzip support;
+    HTTPS verifies against the system trust store.
+
+    Fresh and cached answers alike go through :func:`resolve_output`.
     Answers that resolve only by ``fallback`` are not cached, so a later
     call asks the model again.
     """
@@ -313,12 +342,19 @@ class HttpLlmScorer:
         self.cfg = cfg
         self.max_in_flight = cfg.max_in_flight
         self.cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
-        self._session = requests.Session()
         self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        url = urlsplit(cfg.endpoint_url)
+        self._address = (url.hostname, url.port)
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        # idle keep-alive connections; list.append and list.pop are atomic,
+        # and only callers holding the gate touch it
+        self._idle: list[http.client.HTTPConnection] = []
         if cfg.api_key_env_var:
             key = os.environ.get(cfg.api_key_env_var)
             if key:
-                self._session.headers["Authorization"] = f"Bearer {key}"
+                self._headers["Authorization"] = f"Bearer {key}"
             else:
                 logger.warning(
                     "environment variable %s is not set; calling without credentials",
@@ -336,38 +372,87 @@ class HttpLlmScorer:
         return response
 
     def _complete(self, prompt_text: str) -> str:
-        body = {
+        payload = json.dumps({
             "model": self.cfg.model_name,
             "prompt": prompt_text,
             "max_output_tokens": self.cfg.max_output_tokens,
-        }
+        }).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.cfg.max_retries):
             retry_after = 0.0
             try:
                 with self._gate:
-                    resp = self._session.post(
-                        self.cfg.endpoint_url, json=body, timeout=self.cfg.timeout
-                    )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = TransportError(
-                        f"server returned {resp.status_code}: {resp.text[:200]}"
-                    )
+                    status, headers, body = self._post(payload)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = TransportError(f"transport failure: {type(exc).__name__}: {exc}")
+            else:
+                if 200 <= status < 300:
+                    try:
+                        data = json.loads(body)
+                    except ValueError as exc:
+                        last_error = TransportError(f"response is not JSON: {exc}")
+                    else:
+                        return self._extract_text(data)
+                elif status == 429 or status >= 500:
+                    last_error = TransportError(f"server returned {status}: {_snippet(body)}")
                     retry_after = _retry_after_seconds(
-                        resp.headers.get("Retry-After"), self.cfg.timeout
+                        headers.get("Retry-After"), self.cfg.timeout
                     )
-                elif resp.status_code >= 400:
+                elif 300 <= status < 400:
                     raise ScorerError(
-                        f"request rejected ({resp.status_code}): {resp.text[:200]}"
+                        f"request rejected ({status}, redirects are not followed; "
+                        f"Location: {headers.get('Location')}): {_snippet(body)}"
                     )
                 else:
-                    return self._extract_text(resp.json())
-            except requests.RequestException as exc:
-                last_error = TransportError(f"transport failure: {exc}")
+                    raise ScorerError(f"request rejected ({status}): {_snippet(body)}")
             if attempt < self.cfg.max_retries - 1:
                 # jittered, so workers that met the same 429 do not retry in lockstep
                 time.sleep(max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after))
         raise last_error or TransportError("remote completion failed")
+
+    def _post(self, payload: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One POST, read to the end: (status, headers, body). Call only under the gate."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._target, body=payload, headers=self._headers)
+            resp = conn.getresponse()
+            body = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, resp.headers, body
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones.
+
+        Call it when no request is in flight.
+        """
+        idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one (connected on use)."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                break
+            if not _readable(conn.sock):
+                return conn
+            # an idle keep-alive socket only reads as ready once the server
+            # has closed it (or sent bytes nobody asked for): never reuse it
+            conn.close()
+        host, port = self._address
+        if self._tls is not None:
+            return http.client.HTTPSConnection(
+                host, port, timeout=self.cfg.timeout, context=self._tls
+            )
+        return http.client.HTTPConnection(host, port, timeout=self.cfg.timeout)
 
     @staticmethod
     def _extract_text(data: object) -> str:
@@ -387,6 +472,17 @@ class HttpLlmScorer:
                     if isinstance(message, dict) and isinstance(message.get("content"), str):
                         return message["content"]
         raise ScorerError(f"cannot find completion text in response: {str(data)[:200]}")
+
+
+def _snippet(body: bytes) -> str:
+    return body.decode("utf-8", errors="replace")[:200]
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has data or end-of-stream waiting, without blocking."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
 
 
 def _retry_after_seconds(value: str | None, cap: float) -> float:
@@ -419,4 +515,9 @@ def make_scorer(cfg: ScorerBackendConfig):
 
 def score(bundle: PromptBundle, cfg: ScorerBackendConfig) -> ScorerResponse:
     """One-off scoring. For repeated calls build the backend once."""
-    return make_scorer(cfg).score(bundle)
+    backend = make_scorer(cfg)
+    try:
+        return backend.score(bundle)
+    finally:
+        if isinstance(backend, HttpLlmScorer):
+            backend.close()

@@ -41,3 +41,10 @@ def toy_files(tmp_path):
         "p2\tv1\tpublished_in\n"
     )
     return str(nodes_path), str(edges_path), str(schema_path)
+
+
+@pytest.fixture
+def keep_alive():
+    """A keep-alive HTTP/1.1 completion endpoint on loopback (helpers.KeepAliveEndpoint)."""
+    with helpers.serving(helpers.KeepAliveEndpoint()) as server:
+        yield server

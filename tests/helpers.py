@@ -7,7 +7,12 @@ definitions, a from-scratch tournament simulator) so tests stay honest.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import ssl
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -233,3 +238,86 @@ def simulate_first_pick_tournament(n: int, length_limit: int) -> int:
             start += size
         pool = [s[0] for s in sets]
     return pool[0]
+
+
+# -- completion endpoint ----------------------------------------------------------
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 answers on kept-alive connections, each in one write."""
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1  # buffered: headers and body leave in one segment on flush
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.seen.append((self.path, dict(self.headers), body))
+            reply = server.replies.pop(0) if server.replies else None
+        if reply is None:
+            # the first candidate's alias, e.g. "a1"
+            lines = body["prompt"].split("\n")
+            reply = (200, json.dumps({"text": lines[2].split(": ", 1)[0]}).encode(), {})
+        status, payload, headers = reply
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        # dropped without a "Connection: close" header
+        self.close_connection = server.drop_after_reply
+
+    def log_message(self, *args):
+        pass
+
+
+class KeepAliveEndpoint(ThreadingHTTPServer):
+    """A completion endpoint on loopback that keeps connections alive.
+
+    ``connections`` counts accepted connections and ``seen`` holds each
+    request's (path, headers, JSON body). Answers come from ``replies``,
+    (status, body bytes, headers) taken in order, then name the prompt's
+    first candidate by alias. With ``drop_after_reply`` each connection is
+    closed after its answer, without a ``Connection: close`` header, and
+    ``dropped`` is released once it is. Given ``tls``, it speaks HTTPS.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, tls: ssl.SSLContext | None = None):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.seen: list = []
+        self.replies: list = []
+        self.drop_after_reply = False
+        self.dropped = threading.Semaphore(0)
+        scheme = "http" if tls is None else "https"
+        self.url = f"{scheme}://127.0.0.1:{self.server_port}/v1/complete?mode=test"
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.dropped.release()
+
+
+@contextlib.contextmanager
+def serving(server):
+    """Run ``server.serve_forever`` on a thread for the ``with`` block."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

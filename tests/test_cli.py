@@ -208,6 +208,29 @@ def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch):
     assert loads == [cache]
 
 
+def test_predict_writes_the_aborted_trace_and_exits_1(cli_graph, tmp_path, keep_alive):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, n=2, with_truth=False)
+    # the first task's second set is rejected; later calls name the first candidate
+    keep_alive.replies = [(200, b'{"text": "a1"}', {}), (400, b"unknown model", {})]
+    out = str(tmp_path / "traces.ndjson")
+    code = main(flags + [
+        "predict", "--tasks", tasks, "--backend", "http_llm",
+        "--endpoint-url", keep_alive.url, "--model", "m",
+        "--hops", "1", "--k", "2", "--length-limit", "2", "--grouping", "sequential",
+        "--out", out,
+    ])
+    assert code == 1
+    aborted, completed = read_ndjson(out)
+    assert aborted["error"] == "set scoring failed: request rejected (400): unknown model"
+    assert aborted["final"] is None and aborted["ranking"] == []
+    assert aborted["rounds"] == [{"sets": [aborted["candidates"][:2], aborted["candidates"][2:]],
+                                  "winners": [aborted["candidates"][0]]}]
+    assert aborted["scorer_calls"] == 1
+    assert "error" not in completed and completed["final"] == completed["candidates"][0]
+    assert len(keep_alive.seen) == 2 + completed["scorer_calls"]
+
+
 def test_gen_train_subcommand(cli_graph, tmp_path):
     g, flags = cli_graph
     out = str(tmp_path / "train.jsonl")

@@ -253,11 +253,12 @@ FLAG_VALUES = {
     "--policy": "shared_neighbor", "--split": "valid", "--split-boundaries": "2015,2016",
 }
 
-# values both parsers accept that no config takes
+# per flag, values both parsers accept that no config takes
 BAD_VALUES = {
-    "--hops": "9", "--alpha": "1.5", "--token-budget": "10", "--max-in-flight": "0",
-    "--length-limit": "1", "--seed": "-1", "--candidates-per-example": "1",
-    "--split-boundaries": "2015;2016", "--max-retries": "0", "--timeout": "0",
+    "--hops": ("9",), "--alpha": ("1.5",), "--token-budget": ("10",), "--max-in-flight": ("0",),
+    "--length-limit": ("1",), "--seed": ("-1",), "--candidates-per-example": ("1",),
+    "--split-boundaries": ("2015;2016",), "--max-retries": ("0",), "--timeout": ("0",),
+    "--endpoint-url": ("ftp://x", "http:///complete"),
 }
 
 
@@ -279,7 +280,7 @@ def _argvs(command, graph_flags):
     required = [f for f in own if f in ("--relation", "--num")]
 
     def argv(chosen, bad=None):
-        value = {**values, **({bad: BAD_VALUES[bad]} if bad else {})}
+        value = {**values, **(dict([bad]) if bad else {})}
         top = [x for f in graph_knobs if f in chosen for x in (f, value[f])]
         below = [x for f in own if f in chosen for x in (f, value[f])]
         return top + [command, *REQUIRED[command], *below]
@@ -290,8 +291,8 @@ def _argvs(command, graph_flags):
     for flag in every:
         yield argv(set(every) - {flag})
         yield argv({flag, *required})
-        if flag in BAD_VALUES:
-            yield argv(set(every), bad=flag)
+        for bad in BAD_VALUES.get(flag, ()):
+            yield argv(set(every), bad=(flag, bad))
 
 
 def _configs(graph):

@@ -292,6 +292,20 @@ def test_benchmark_concurrent_matches_serial(monkeypatch, prompt_keyed_url):
     assert pool_widths == [4]
 
 
+def test_http_run_opens_at_most_max_in_flight_connections(keep_alive):
+    g = helpers.authorship_graph(n_papers=60, seed=12)
+    tasks = make_tasks(g, n_tasks=8, n_candidates=5, seed=9)
+    report = run_benchmark(
+        tasks, g, FAST, PROMPT,
+        ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
+                            timeout=5.0, max_in_flight=2),
+        DncConfig(length_limit=3),
+    )
+    assert not report.failures and len(report.rows) == len(tasks)
+    assert len(keep_alive.seen) == sum(row["scorer_calls"] for row in report.rows) > len(tasks)
+    assert 1 <= keep_alive.connections <= 2
+
+
 def test_offline_backends_run_inline(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("an offline backend started a thread pool")

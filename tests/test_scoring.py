@@ -1,7 +1,12 @@
 import json
 import logging
 import multiprocessing
+import os
 import random
+import shutil
+import ssl
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -17,6 +22,7 @@ from lpnl.sampling import AnchorList
 from lpnl.scoring import (
     ResponseCache,
     ScorerBackendConfig,
+    ScorerError,
     ScorerResponse,
     TransportError,
     _retry_after_seconds,
@@ -138,6 +144,23 @@ def test_resolve_plain_alias_token():
     chosen, resolution = resolve_output(bundle.candidate_aliases[2], bundle)
     assert chosen == bundle.candidate_order[2]
     assert resolution == "alias_match"
+
+
+@pytest.mark.parametrize("type_name, prefix", [("ärztin", "r"), ("ö", "n")])
+@pytest.mark.parametrize("prefixed", [False, True], ids=["bare", "prefixed"])
+def test_alias_of_non_ascii_type_name_resolves(type_name, prefix, prefixed):
+    # the alias rung tokenizes on [0-9a-z]: an alias such as "ä2" never matched
+    node_types = [NodeType("paper", 0, "PA"), NodeType(type_name, 1, "AE")]
+    nodes = [("p0", "paper", "clinical trials of a new vaccine"),
+             ("x1", type_name, "Anna Berg"), ("x2", type_name, "Carl Dunn")]
+    g = HetGraph(node_types, [EdgeType("treated_by", "paper", type_name)], nodes, [])
+    anchors = {v: AnchorList(v, ()) for v in range(len(g))}
+    candidates = [g.id_of("x1"), g.id_of("x2")]
+    bundle = build_prompt(g.id_of("p0"), "treated_by", candidates, anchors, g, PromptConfig())
+    assert bundle.candidate_aliases == (f"{prefix}1", f"{prefix}2")
+    alias = bundle.candidate_aliases[1]
+    chosen, resolution = resolve_output(f"{alias}: Carl Dunn" if prefixed else alias, bundle)
+    assert (g.key_of(chosen), resolution) == ("x2", "alias_match")
 
 
 def test_resolve_text_prefix():
@@ -498,7 +521,7 @@ def test_http_requires_endpoint_and_model():
     ("timeout", float("nan")),
 ])
 def test_http_settings_that_cannot_work_are_rejected(name, value):
-    # max_retries counts attempts: 0 would send nothing; requests refuses a 0 timeout
+    # max_retries counts attempts: 0 would send nothing; a 0 timeout fails every socket call
     with pytest.raises(ValueError, match=name):
         ScorerBackendConfig(kind="http_llm", endpoint_url="http://127.0.0.1:9/", model_name="m",
                             **{name: value})
@@ -519,3 +542,139 @@ def test_openai_style_response_shapes(http_server):
     script.responses = [(200, {"choices": [{"message": {"content": bundle.candidate_aliases[0]}}]})]
     resp = score(request_of(bundle), http_cfg(url))
     assert resp.chosen == bundle.candidate_order[0]
+
+
+# -- HTTP transport: keep-alive connections ----------------------------------------
+
+
+def test_http_sequential_calls_share_one_connection(keep_alive):
+    _, bundle = fixture()
+    scorer = make_scorer(http_cfg(keep_alive.url))
+    for _ in range(5):
+        resp = scorer.score(bundle)
+        assert (resp.chosen, resp.resolution) == (bundle.candidate_order[0], "alias_match")
+    assert len(keep_alive.seen) == 5
+    assert keep_alive.connections == 1
+    scorer.close()
+    assert scorer.score(bundle).chosen == bundle.candidate_order[0]
+    assert keep_alive.connections == 2
+    scorer.close()
+
+
+def test_http_reconnects_to_a_server_that_dropped_the_idle_connection(keep_alive):
+    # each answer is followed by a close the client is not told about; reusing
+    # the connection would fail the one attempt each call has
+    keep_alive.drop_after_reply = True
+    _, bundle = fixture()
+    scorer = make_scorer(http_cfg(keep_alive.url, max_retries=1))
+    for call in range(1, 6):
+        resp = scorer.score(bundle)
+        assert resp.chosen == bundle.candidate_order[0]
+        assert len(keep_alive.seen) == call
+        assert keep_alive.dropped.acquire(timeout=5)  # the server has closed it
+    assert keep_alive.connections == 5
+    scorer.close()
+
+
+@pytest.mark.parametrize("status, headers, expected", [
+    (400, {}, r"request rejected \(400\): bad prompt"),
+    (302, {"Location": "http://elsewhere.test/complete"},
+     r"request rejected \(302.*Location: http://elsewhere\.test/complete\): bad prompt"),
+])
+def test_http_rejected_status_sends_one_request(keep_alive, status, headers, expected):
+    keep_alive.replies = [(status, b"bad prompt \xff", headers)]
+    _, bundle = fixture()
+    with pytest.raises(ScorerError, match=expected) as excinfo:
+        score(bundle, http_cfg(keep_alive.url, max_retries=3))
+    assert not isinstance(excinfo.value, TransportError)
+    assert "�" in str(excinfo.value)  # undecodable bytes replaced, not raised
+    assert len(keep_alive.seen) == 1
+
+
+def test_http_non_json_success_is_retried(keep_alive):
+    keep_alive.replies = [(200, b"<html>upstream busy</html>", {})]
+    _, bundle = fixture()
+    resp = score(bundle, http_cfg(keep_alive.url, max_retries=2))
+    assert resp.chosen == bundle.candidate_order[0]
+    assert len(keep_alive.seen) == 2
+    keep_alive.replies = [(200, b"not json", {})]
+    with pytest.raises(TransportError, match="not JSON"):
+        score(bundle, http_cfg(keep_alive.url, max_retries=1))
+
+
+def test_http_request_line_and_body(keep_alive):
+    _, bundle = fixture()
+    score(bundle, http_cfg(keep_alive.url))
+    path, headers, body = keep_alive.seen[0]
+    assert path == "/v1/complete?mode=test"
+    assert headers["Content-Type"] == "application/json"
+    assert "Authorization" not in headers
+    assert body == {"model": "test-model", "prompt": bundle.text, "max_output_tokens": 64}
+
+
+def test_http_api_key_from_environment(keep_alive, monkeypatch, caplog):
+    _, bundle = fixture()
+    monkeypatch.setenv("LPNL_TEST_KEY", "s3cret")
+    score(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
+    assert keep_alive.seen[-1][1]["Authorization"] == "Bearer s3cret"
+    monkeypatch.delenv("LPNL_TEST_KEY")
+    with caplog.at_level(logging.WARNING, logger="lpnl.scoring"):
+        score(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
+    assert "LPNL_TEST_KEY is not set" in caplog.text
+    assert "Authorization" not in keep_alive.seen[-1][1]
+
+
+def test_https_verifies_the_server_against_the_trust_store(tmp_path, monkeypatch):
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("making a test certificate needs the openssl command")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=60,
+    )
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    _, bundle = fixture()
+    with helpers.serving(helpers.KeepAliveEndpoint(tls)) as server:
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        resp = score(bundle, http_cfg(server.url))
+        assert resp.chosen == bundle.candidate_order[0]
+        assert len(server.seen) == 1
+        # the self-signed certificate is in no system store
+        monkeypatch.delenv("SSL_CERT_FILE")
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            score(bundle, http_cfg(server.url, max_retries=1))
+        assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("url", [
+    "ftp://127.0.0.1/complete", "http:///complete", "http://", "127.0.0.1:8080/complete",
+    "http://127.0.0.1:port/complete", "http://127.0.0.1:70000/complete",
+])
+def test_http_endpoint_url_needs_http_scheme_and_host(url):
+    with pytest.raises(ValueError, match="endpoint_url"):
+        ScorerBackendConfig(kind="http_llm", endpoint_url=url, model_name="m")
+
+
+def test_import_and_call_load_no_third_party_http_client(keep_alive):
+    keep_alive.replies = [(200, b'{"text": "ok"}', {})]
+    program = (
+        "import sys\n"
+        "import lpnl\n"
+        "from lpnl.scoring import ScorerBackendConfig, make_scorer\n"
+        "scorer = make_scorer(ScorerBackendConfig(\n"
+        f"    kind='http_llm', endpoint_url={keep_alive.url!r}, model_name='m'))\n"
+        "print(scorer._complete('any prompt'))\n"
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["ok", "[]"]
+    assert len(keep_alive.seen) == 1

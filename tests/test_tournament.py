@@ -304,6 +304,35 @@ def test_aborted_trace_counts_recorded_winners():
     assert partial.final is None and partial.ranking == ()
 
 
+def test_answer_outside_the_scored_set_aborts():
+    g, source, candidates = tournament_fixture(9)
+    oracle = make_scorer(oracle_cfg(g, source, candidates[0]))
+    scored = []
+
+    class NamesAnotherSet:
+        def score(self, bundle):
+            scored.append(bundle)
+            response = oracle.score(bundle)
+            if len(scored) == 3:
+                # a pool member, but one of the first set's
+                return replace(response, chosen=candidates[1])
+            return response
+
+    with pytest.raises(PredictionAborted, match="not in the scored set") as excinfo:
+        predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT,
+            NamesAnotherSet(), DncConfig(length_limit=3, grouping="sequential"),
+        )
+    assert f"backend chose {candidates[1]}" in str(excinfo.value)
+    partial = excinfo.value.trace
+    assert partial.final is None and partial.ranking == ()
+    assert partial.rounds[0].sets == (tuple(candidates[:3]), tuple(candidates[3:6]),
+                                      tuple(candidates[6:]))
+    # the oracle's pick, then the first candidate (no truth in the second set)
+    assert partial.rounds[0].winners == (candidates[0], candidates[3])
+    assert partial.scorer_calls == 2 and len(scored) == 3
+
+
 def test_derive_ranking_incomplete_trace_rejected():
     g, source, candidates = tournament_fixture(4)
     cfg = ScorerBackendConfig(
