@@ -41,7 +41,7 @@ from .prompts import (
     parse_prompt,
 )
 from .sampling import PPR_MODES, SamplerConfig, anchors_for, top_k_anchors
-from .scoring import BACKEND_KINDS, ScorerBackendConfig, make_scorer
+from .scoring import BACKEND_KINDS, ScorerBackendConfig, close_scorer, make_scorer
 from .tournament import GROUPINGS, DncConfig, PredictionAborted, partition, predict
 
 logger = logging.getLogger("lpnl")
@@ -245,19 +245,22 @@ def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
 
 def _cmd_score(args, g: HetGraph, cfg: dict) -> int:
     scorer = make_scorer(cfg["scorer"])
-    with _output(args.out) as out:
-        for record in _read_task_records(args.prompts):
-            if "error" in record:
-                continue
-            bundle = _rebuild_bundle(record, g)
-            response = scorer.score(bundle)
-            choice = {
-                "source": record["source"],
-                "chosen": g.key_of(response.chosen),
-                "resolution": response.resolution,
-                "raw_output": response.raw_output,
-            }
-            out.write(json.dumps(choice, sort_keys=True) + "\n")
+    try:
+        with _output(args.out) as out:
+            for record in _read_task_records(args.prompts):
+                if "error" in record:
+                    continue
+                bundle = _rebuild_bundle(record, g)
+                response = scorer.score(bundle)
+                choice = {
+                    "source": record["source"],
+                    "chosen": g.key_of(response.chosen),
+                    "resolution": response.resolution,
+                    "raw_output": response.raw_output,
+                }
+                out.write(json.dumps(choice, sort_keys=True) + "\n")
+    finally:
+        close_scorer(scorer)
     return 0
 
 
@@ -284,31 +287,34 @@ def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
     # one backend for every task, so its cache and connections load once
     scorer = None if args.dry_run else make_scorer(cfg["scorer"])
     status = 0
-    with _output(args.out) as out:
-        for record in _read_task_records(args.tasks):
-            source = g.id_of(record["source_id"])
-            candidates = [g.id_of(c) for c in record["candidate_ids"]]
-            relation = record["relation"]
-            if args.dry_run:
-                anchors = anchors_for(g, (source, *candidates), sampler_cfg)
-                sets = partition(
-                    candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
-                )
-                for members in sets:
-                    bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                    out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
-                continue
-            try:
-                trace = predict(
-                    g, source, relation, candidates,
-                    sampler_cfg, prompt_cfg, scorer, dnc_cfg,
-                )
-            except PredictionAborted as exc:
-                status = 1
-                failed = {"error": str(exc), **_trace_record(exc.trace, g)}
-                out.write(json.dumps(failed, sort_keys=True) + "\n")
-                continue
-            out.write(json.dumps(_trace_record(trace, g), sort_keys=True) + "\n")
+    try:
+        with _output(args.out) as out:
+            for record in _read_task_records(args.tasks):
+                source = g.id_of(record["source_id"])
+                candidates = [g.id_of(c) for c in record["candidate_ids"]]
+                relation = record["relation"]
+                if args.dry_run:
+                    anchors = anchors_for(g, (source, *candidates), sampler_cfg)
+                    sets = partition(
+                        candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
+                    )
+                    for members in sets:
+                        bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
+                        out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
+                    continue
+                try:
+                    trace = predict(
+                        g, source, relation, candidates,
+                        sampler_cfg, prompt_cfg, scorer, dnc_cfg,
+                    )
+                except PredictionAborted as exc:
+                    status = 1
+                    failed = {"error": str(exc), **_trace_record(exc.trace, g)}
+                    out.write(json.dumps(failed, sort_keys=True) + "\n")
+                    continue
+                out.write(json.dumps(_trace_record(trace, g), sort_keys=True) + "\n")
+    finally:
+        close_scorer(scorer)
     return status
 
 

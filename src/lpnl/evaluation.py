@@ -26,7 +26,7 @@ from typing import ClassVar, Sequence
 from .graph import EdgeMask, HetGraph
 from .prompts import PromptConfig
 from .sampling import SamplerConfig
-from .scoring import ScorerBackendConfig, make_scorer
+from .scoring import ScorerBackendConfig, close_scorer, make_scorer
 from .tournament import RANKING_CONVENTION, DncConfig, predict
 
 logger = logging.getLogger(__name__)
@@ -171,9 +171,10 @@ def run_benchmark(
     An ``oracle_truth`` scorer config is completed with the tasks' own
     ground truth when no truth pairs were supplied.
 
-    All tasks share one backend instance. Against ``http_llm``, which waits
-    on I/O, one thread pool per call fans tasks out to ``max_in_flight``
-    workers; the CPU-bound offline backends ignore it and run inline.
+    All tasks share one backend instance, closed when the run ends. Against
+    ``http_llm``, which waits on I/O, one thread pool per call fans tasks
+    out to ``max_in_flight`` workers; the CPU-bound offline backends ignore
+    it and run inline.
     Results are reduced in task order, so reports stay reproducible.
     """
     sampler_cfg = sampler_cfg or SamplerConfig()
@@ -243,11 +244,14 @@ def run_benchmark(
         seeded_dnc = replace(dnc_cfg, rng_seed=seed)
         for task_index in range(len(tasks)):
             jobs.append((seed, task_index, seeded_sampler, seeded_dnc))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_task, jobs))
-    else:
-        outcomes = [run_task(job) for job in jobs]
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(run_task, jobs))
+        else:
+            outcomes = [run_task(job) for job in jobs]
+    finally:
+        close_scorer(scorer)
     # outcomes arrive in job order, so reports stay byte-identical across runs
     report = MetricReport(
         rows=tuple(row for row, _ in outcomes if row is not None),

@@ -281,36 +281,43 @@ def ppr_approx(sub: EgoSubgraph, center: int, cfg: SamplerConfig) -> dict[int, f
     adj = sub.adjacency
     n = len(adj)
     alpha = cfg.alpha
+    keep = 1.0 - alpha
     r_max = cfg.push_tolerance
     estimate = [0.0] * n
     residual = [0.0] * n
     residual[ci] = 1.0
     degree = [len(neigh) for neigh in adj]
     threshold = [max(r_max * d, r_max) for d in degree]
+    # A node is queued only once its residual reaches its threshold, and the
+    # residual only grows until the node is popped; so only the center's
+    # first entry, queued with residual 1, can be below it.
+    if residual[ci] < threshold[ci]:
+        return dict(zip(sub.nodes, estimate))
     queue: deque[int] = deque([ci])
+    pop, push = queue.popleft, queue.append
     in_queue = [False] * n
     in_queue[ci] = True
     while queue:
-        u = queue.popleft()
+        u = pop()
         in_queue[u] = False
         res = residual[u]
-        if res < threshold[u]:
-            continue
         estimate[u] += alpha * res
         residual[u] = 0.0
-        spread = (1.0 - alpha) * res
-        if degree[u] == 0:
+        spread = keep * res
+        d = degree[u]
+        if d == 0:
             # Isolated within the subgraph: walk mass restarts at the center.
             residual[ci] += spread
             if not in_queue[ci] and residual[ci] >= threshold[ci]:
-                queue.append(ci)
+                push(ci)
                 in_queue[ci] = True
             continue
-        share = spread / degree[u]
+        share = spread / d
         for w in adj[u]:
-            residual[w] += share
-            if not in_queue[w] and residual[w] >= threshold[w]:
-                queue.append(w)
+            r = residual[w] + share
+            residual[w] = r
+            if r >= threshold[w] and not in_queue[w]:
+                push(w)
                 in_queue[w] = True
     return dict(zip(sub.nodes, estimate))
 

@@ -2,6 +2,8 @@
 
 A backend is any object with ``score(bundle) -> ScorerResponse``, taking
 the :class:`~lpnl.prompts.PromptBundle` that ``build_prompt`` returned.
+``http_llm`` also has ``send(bundle)``, which starts the request so that
+the caller can work while the model answers, and ``close()``.
 
 The production backend calls a remote text-completion endpoint; three
 deterministic local backends exist so the whole pipeline runs (and is
@@ -52,6 +54,7 @@ __all__ = [
     "TransportError",
     "ResponseCache",
     "make_scorer",
+    "close_scorer",
     "score",
     "resolve_output",
 ]
@@ -313,6 +316,26 @@ class LexicalOverlapScorer:
         return _answer(bundle, overlaps.index(max(overlaps)))
 
 
+# what a failed connect, write or read raises: an attempt that may be retried
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+
+@dataclass
+class _Sent:
+    """A prompt :meth:`HttpLlmScorer.send` started that no ``score`` has read.
+
+    ``hit`` is its cache entry, looked up once. On a miss ``conn`` holds the
+    written request and a gate slot, or ``error`` says why it could not be
+    written; either way it is the first attempt.
+    """
+
+    key: str
+    prompt: str
+    hit: dict | None
+    conn: http.client.HTTPConnection | None = None
+    error: Exception | None = None
+
+
 class HttpLlmScorer:
     """Single-turn completion calls against a remote model endpoint.
 
@@ -333,6 +356,12 @@ class HttpLlmScorer:
     without spending an attempt. No proxy, ``.netrc`` or gzip support;
     HTTPS verifies against the system trust store.
 
+    :meth:`send` lets a caller work while the model answers: it writes the
+    request and returns, holding the slot, and the same thread's next
+    :meth:`score` of that bundle reads the answer as its first attempt. A
+    thread has at most one sent request unread; sending or scoring another
+    prompt closes it, and so does :meth:`close`.
+
     Fresh and cached answers alike go through :func:`resolve_output`.
     Answers that resolve only by ``fallback`` are not cached, so a later
     call asks the model again.
@@ -351,6 +380,8 @@ class HttpLlmScorer:
         # idle keep-alive connections; list.append and list.pop are atomic,
         # and only callers holding the gate touch it
         self._idle: list[http.client.HTTPConnection] = []
+        # each thread's unread sent prompt, by thread id
+        self._sent: dict[int, _Sent] = {}
         if cfg.api_key_env_var:
             key = os.environ.get(cfg.api_key_env_var)
             if key:
@@ -361,9 +392,44 @@ class HttpLlmScorer:
                     cfg.api_key_env_var,
                 )
 
-    def score(self, bundle: PromptBundle) -> ScorerResponse:
+    def send(self, bundle: PromptBundle) -> None:
+        """Start scoring ``bundle``; this thread's next :meth:`score` of it finishes.
+
+        A cache hit sends nothing. On a miss the request is written under a
+        gate slot and its response left unread; a failure to write it is
+        kept as the first attempt's. An unread request this thread sent
+        before is closed first.
+        """
+        thread = threading.get_ident()
+        self._discard(self._sent.pop(thread, None))
         key = prompt_hash(bundle.text, self.cfg.model_name, self.cfg.max_output_tokens)
         hit = self.cache.lookup(key) if self.cache is not None else None
+        sent = _Sent(key, bundle.text, hit)
+        if hit is None:
+            self._gate.acquire()
+            try:
+                sent.conn = self._write(self._payload(bundle.text))
+            except _TRANSPORT_ERRORS as exc:
+                self._gate.release()
+                sent.error = exc
+            except BaseException:
+                self._gate.release()
+                raise
+        self._sent[thread] = sent
+
+    def score(self, bundle: PromptBundle) -> ScorerResponse:
+        thread = threading.get_ident()
+        sent = self._sent.get(thread)
+        if sent is None or sent.prompt != bundle.text:
+            self._discard(self._sent.pop(thread, None))
+            key = prompt_hash(bundle.text, self.cfg.model_name, self.cfg.max_output_tokens)
+            hit = self.cache.lookup(key) if self.cache is not None else None
+        else:
+            # hashed and looked up once, by send (hashing a prompt lets go of
+            # the GIL); on a miss _complete reads the sent request
+            key, hit = sent.key, sent.hit
+            if hit is not None:
+                del self._sent[thread]
         raw = hit["raw_output"] if hit is not None else self._complete(bundle.text)
         chosen, resolution = resolve_output(raw, bundle)
         response = ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
@@ -371,19 +437,31 @@ class HttpLlmScorer:
             self.cache.store(key, self.cfg.model_name, response)
         return response
 
-    def _complete(self, prompt_text: str) -> str:
-        payload = json.dumps({
+    def _payload(self, prompt_text: str) -> bytes:
+        return json.dumps({
             "model": self.cfg.model_name,
             "prompt": prompt_text,
             "max_output_tokens": self.cfg.max_output_tokens,
         }).encode("utf-8")
+
+    def _complete(self, prompt_text: str) -> str:
+        """The model's answer to ``prompt_text``.
+
+        A request this thread sent is the first attempt; :meth:`score` keeps
+        only a sent miss for this prompt when it calls here.
+        """
+        sent = self._sent.pop(threading.get_ident(), None)
+        payload = self._payload(prompt_text)
         last_error: Exception | None = None
         for attempt in range(self.cfg.max_retries):
             retry_after = 0.0
             try:
-                with self._gate:
-                    status, headers, body = self._post(payload)
-            except (OSError, http.client.HTTPException) as exc:
+                if attempt == 0 and sent is not None:
+                    status, headers, body = self._receive(sent)
+                else:
+                    with self._gate:
+                        status, headers, body = self._read(self._write(payload))
+            except _TRANSPORT_ERRORS as exc:
                 last_error = TransportError(f"transport failure: {type(exc).__name__}: {exc}")
             else:
                 if 200 <= status < 300:
@@ -410,11 +488,22 @@ class HttpLlmScorer:
                 time.sleep(max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after))
         raise last_error or TransportError("remote completion failed")
 
-    def _post(self, payload: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """One POST, read to the end: (status, headers, body). Call only under the gate."""
+    def _write(self, payload: bytes) -> http.client.HTTPConnection:
+        """POST ``payload`` on a pooled connection, leaving the response unread.
+
+        Call only under the gate, and keep it until :meth:`_read` is done.
+        """
         conn = self._connection()
         try:
             conn.request("POST", self._target, body=payload, headers=self._headers)
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _read(self, conn: http.client.HTTPConnection) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """``conn``'s response read to the end, (status, headers, body); pools or closes ``conn``."""
+        try:
             resp = conn.getresponse()
             body = resp.read()
         except BaseException:
@@ -426,11 +515,30 @@ class HttpLlmScorer:
             self._idle.append(conn)
         return resp.status, resp.headers, body
 
-    def close(self) -> None:
-        """Close the idle connections; a later call opens new ones.
+    def _receive(self, sent: _Sent) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """The response to a request :meth:`send` wrote; frees its gate slot."""
+        if sent.error is not None:
+            raise sent.error  # writing failed, and freed the slot then
+        try:
+            return self._read(sent.conn)
+        finally:
+            self._gate.release()
 
-        Call it when no request is in flight.
+    def _discard(self, sent: _Sent | None) -> None:
+        """Close a sent request that will not be read, freeing its gate slot."""
+        if sent is not None and sent.conn is not None:
+            sent.conn.close()
+            self._gate.release()
+
+    def close(self) -> None:
+        """Close the idle connections and every sent request no score read.
+
+        Frees the gate slots those requests held; a later call opens new
+        connections. Call it when no other thread is sending or scoring.
         """
+        sent, self._sent = self._sent, {}
+        for pending in sent.values():
+            self._discard(pending)
         idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
@@ -513,11 +621,17 @@ def make_scorer(cfg: ScorerBackendConfig):
     return _BACKENDS[cfg.kind](cfg)
 
 
+def close_scorer(backend) -> None:
+    """Close what ``backend`` holds open; the offline backends hold nothing."""
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()
+
+
 def score(bundle: PromptBundle, cfg: ScorerBackendConfig) -> ScorerResponse:
     """One-off scoring. For repeated calls build the backend once."""
     backend = make_scorer(cfg)
     try:
         return backend.score(bundle)
     finally:
-        if isinstance(backend, HttpLlmScorer):
-            backend.close()
+        close_scorer(backend)

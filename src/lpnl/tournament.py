@@ -6,11 +6,14 @@ regroup in order of generation and the process repeats until a single
 candidate survives. With 100 candidates and L=5 that is 20 sets, then 4,
 then 1 — three rounds and 25 scorer calls.
 
-Anchors are computed once per node (source and each candidate) and
-reused across rounds, so the sampler cost is 1 + |candidates| regardless
-of how many rounds run.
+Anchors are computed once per node (source and each candidate), as the
+first set that holds the node is built, and reused across rounds, so the
+sampler cost is 1 + |candidates| regardless of how many rounds run.
 
-Sets are scored one after another; concurrency belongs to the caller
+A task keeps at most one scorer request in flight, one request ahead:
+against a backend that can ``send`` (``http_llm``), set k+1 is built while
+set k's request is at the model. Sets are still sent and scored in order;
+concurrency across tasks belongs to the caller
 (:func:`lpnl.evaluation.run_benchmark` fans whole tasks out).
 
 A full ranking of the original pool is derived from elimination order:
@@ -31,9 +34,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graph import EdgeMask, EdgeType, HetGraph
-from .prompts import PromptConfig, build_prompt
-from .sampling import SamplerConfig, _rank_by_score, anchors_for
-from .scoring import ScorerBackendConfig, ScorerError, make_scorer
+from .prompts import PromptBundle, PromptConfig, build_prompt
+from .sampling import AnchorList, SamplerConfig, _rank_by_score, anchors_for
+from .scoring import ScorerBackendConfig, ScorerError, close_scorer, make_scorer
 
 __all__ = [
     "DncConfig",
@@ -163,15 +166,21 @@ def predict(
 ) -> PredictionTrace:
     """Run the full tournament for one prediction task.
 
-    Each round renders one prompt per set (reusing the per-node anchors
-    computed up front) and asks the scorer for the set's winner; winners
-    re-partition sequentially until one remains. Sets are scored one after
-    another, so a lone call against ``http_llm`` sends its requests
-    serially whatever ``max_in_flight`` says. Any failure aborts with the
-    partial trace attached.
+    Each set computes the anchor lists that no earlier set needed (the
+    source's with the first set), renders its prompt and asks the scorer
+    for its winner; winners re-partition sequentially until one remains.
+    Against a backend with ``send`` (``http_llm``) the task keeps one
+    request ahead: set k+1's anchors and prompt are built while set k's
+    request is at the model, then k is scored and k+1 sent. A task so has
+    at most one request in flight, and sends its sets in order; a round
+    ends when its last set is scored. Every node id is checked before the
+    first request. Any failure aborts with the partial trace attached; a
+    set already built is scored first, so the trace names the winners of
+    a set-by-set run.
 
     ``scorer_cfg`` may be a :class:`~lpnl.scoring.ScorerBackendConfig` or an
-    already-built backend, so batch callers can share one instance.
+    already-built backend, so batch callers can share one instance; a
+    backend built here is closed before returning.
     """
     relation = g.edge_type(relation)
     candidates = [int(c) for c in candidates]
@@ -179,13 +188,48 @@ def predict(
         raise ValueError("candidates must be non-empty")
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidates contain duplicates")
-
-    anchors = anchors_for(g, (source, *candidates), sampler_cfg, mask)
-    tie_scores = {c: anchors[c].center_score for c in candidates}
+    for v in (source, *candidates):
+        g._check_node(v)
 
     # an already-built backend may be passed in place of the config so many
     # predictions can share one connection pool, cache and in-flight ceiling
-    scorer = scorer_cfg if hasattr(scorer_cfg, "score") else make_scorer(scorer_cfg)
+    if hasattr(scorer_cfg, "score"):
+        return _play(g, source, relation, candidates, sampler_cfg, prompt_cfg, scorer_cfg,
+                     dnc_cfg, mask)
+    scorer = make_scorer(scorer_cfg)
+    try:
+        return _play(g, source, relation, candidates, sampler_cfg, prompt_cfg, scorer,
+                     dnc_cfg, mask)
+    finally:
+        close_scorer(scorer)
+
+
+def _play(
+    g: HetGraph,
+    source: int,
+    relation: EdgeType,
+    candidates: list[int],
+    sampler_cfg: SamplerConfig,
+    prompt_cfg: PromptConfig,
+    scorer,
+    dnc_cfg: DncConfig,
+    mask: EdgeMask | None,
+) -> PredictionTrace:
+    """The rounds of :func:`predict`, on a built backend."""
+    send = getattr(scorer, "send", None)
+    anchors: dict[int, AnchorList] = {}
+
+    def build(members: list[int]) -> PromptBundle:
+        missing = [v for v in (source, *members) if v not in anchors]
+        anchors.update(anchors_for(g, missing, sampler_cfg, mask))
+        return build_prompt(source, relation, members, anchors, g, prompt_cfg)
+
+    def winner(members: list[int], bundle: PromptBundle) -> int:
+        response = scorer.score(bundle)
+        if response.chosen not in members:
+            raise ScorerError(f"backend chose {response.chosen}, which is not in the scored set")
+        return response.chosen
+
     rounds: list[Round] = []
     pool = list(candidates)
     failure: Exception | None = None
@@ -195,27 +239,34 @@ def predict(
         else:
             sets = partition(pool, dnc_cfg.length_limit, "sequential")
         winners: list[int] = []
+        sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
         try:
             for members in sets:
-                bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                response = scorer.score(bundle)
-                if response.chosen not in members:
-                    raise ScorerError(
-                        f"backend chose {response.chosen}, which is not in the scored set"
-                    )
-                winners.append(response.chosen)
+                try:
+                    bundle = build(members)
+                finally:
+                    # the previous set's answer, read once this set is built
+                    # or, if building it failed, before that failure counts
+                    if sent is not None:
+                        winners.append(winner(*sent))
+                sent = (members, bundle)
+                if send is not None:
+                    send(bundle)
+            winners.append(winner(*sent))
         except Exception as exc:
             failure = exc
         rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
         pool = winners
 
+    # a lone candidate meets no set, and an aborted run may stop before some
+    anchors.update(anchors_for(g, [c for c in candidates if c not in anchors], sampler_cfg, mask))
     trace = PredictionTrace(
         source=source,
         relation=relation.name,
         candidates=tuple(candidates),
         rounds=tuple(rounds),
         final=pool[0] if failure is None else None,
-        tie_scores=tie_scores,
+        tie_scores={c: anchors[c].center_score for c in candidates},
     )
     if failure is not None:
         raise PredictionAborted(f"set scoring failed: {failure}", trace) from failure

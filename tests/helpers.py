@@ -12,6 +12,7 @@ import json
 import math
 import ssl
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -252,9 +253,17 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        arrived = time.perf_counter()
         with server.lock:
             server.seen.append((self.path, dict(self.headers), body))
             reply = server.replies.pop(0) if server.replies else None
+            server.in_flight += 1
+            server.in_flight_peak = max(server.in_flight_peak, server.in_flight)
+        time.sleep(server.latency)
+        with server.lock:
+            server.in_flight -= 1
+            # before the answer leaves: a client waiting for it sends later
+            server.log.append((arrived, time.perf_counter(), body["prompt"]))
         if reply is None:
             # the first candidate's alias, e.g. "a1"
             lines = body["prompt"].split("\n")
@@ -282,6 +291,9 @@ class KeepAliveEndpoint(ThreadingHTTPServer):
     first candidate by alias. With ``drop_after_reply`` each connection is
     closed after its answer, without a ``Connection: close`` header, and
     ``dropped`` is released once it is. Given ``tls``, it speaks HTTPS.
+    Each answer waits ``latency`` seconds; ``log`` holds each request's
+    (arrival, answer, prompt) on ``time.perf_counter``, and
+    ``in_flight_peak`` the most requests it held at once.
     """
 
     daemon_threads = True
@@ -295,6 +307,9 @@ class KeepAliveEndpoint(ThreadingHTTPServer):
         self.seen: list = []
         self.replies: list = []
         self.drop_after_reply = False
+        self.latency = 0.0
+        self.log: list[tuple[float, float, str]] = []
+        self.in_flight = self.in_flight_peak = 0
         self.dropped = threading.Semaphore(0)
         scheme = "http" if tls is None else "https"
         self.url = f"{scheme}://127.0.0.1:{self.server_port}/v1/complete?mode=test"

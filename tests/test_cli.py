@@ -60,6 +60,11 @@ def read_ndjson(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_sample_subcommand(cli_graph, tmp_path):
     g, flags = cli_graph
     out = str(tmp_path / "anchors.ndjson")
@@ -258,7 +263,7 @@ def test_eval_subcommand_oracle(cli_graph, tmp_path, capsys):
         "--hops", "1", "--k", "2", "--seeds", "0", "--out", out,
     ])
     assert code == 0
-    report = json.loads(open(out).read())
+    report = read_json(out)
     assert report["hits_at_1"] == 1.0
     assert report["tasks"] == 3
     table = capsys.readouterr().err
@@ -272,7 +277,7 @@ def test_eval_empty_task_file(cli_graph, tmp_path):
     out = str(tmp_path / "report.json")
     code = main(flags + ["eval", "--tasks", str(empty), "--out", out])
     assert code == 0
-    report = json.loads(open(out).read())
+    report = read_json(out)
     assert report["tasks"] == 0
 
 
@@ -290,7 +295,7 @@ def test_eval_exits_1_when_every_task_fails(cli_graph, tmp_path):
         "--max-retries", "1", "--hops", "1", "--k", "2", "--out", out,
     ])
     assert code == 1
-    report = json.loads(open(out).read())
+    report = read_json(out)
     assert report["tasks"] == 3
     assert len(report["failures"]) == 3
     assert report["rows"] == []
@@ -337,7 +342,7 @@ def test_config_file_with_flag_override(cli_graph, tmp_path):
     out = str(tmp_path / "report.json")
     code = main(["--config", str(cfg_path), "eval", "--tasks", tasks, "--out", out])
     assert code == 0
-    report = json.loads(open(out).read())
+    report = read_json(out)
     assert report["tasks"] == 3
     # flag overrides the config's scorer kind
     out2 = str(tmp_path / "report2.json")
@@ -346,7 +351,7 @@ def test_config_file_with_flag_override(cli_graph, tmp_path):
         "--backend", "oracle_truth", "--out", out2,
     ])
     assert code == 0
-    assert json.loads(open(out2).read())["hits_at_1"] == 1.0
+    assert read_json(out2)["hits_at_1"] == 1.0
 
 
 def test_missing_graph_flags_is_usage_error(tmp_path):
@@ -373,5 +378,5 @@ def test_module_entrypoint_subprocess(cli_graph, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(open(out).read())["hits_at_1"] == 1.0
+    assert read_json(out)["hits_at_1"] == 1.0
     assert "Hits@1" in result.stderr

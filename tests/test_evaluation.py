@@ -20,7 +20,7 @@ from lpnl.evaluation import (
 )
 from lpnl.prompts import PromptConfig
 from lpnl.sampling import SamplerConfig
-from lpnl.scoring import LexicalOverlapScorer, ScorerBackendConfig, ScorerError
+from lpnl.scoring import HttpLlmScorer, LexicalOverlapScorer, ScorerBackendConfig, ScorerError
 from lpnl.tournament import DncConfig
 
 FAST = SamplerConfig(hops=1, layer_budget=3, anchor_k=3, rng_seed=0)
@@ -304,6 +304,45 @@ def test_http_run_opens_at_most_max_in_flight_connections(keep_alive):
     assert not report.failures and len(report.rows) == len(tasks)
     assert len(keep_alive.seen) == sum(row["scorer_calls"] for row in report.rows) > len(tasks)
     assert 1 <= keep_alive.connections <= 2
+
+
+def test_http_tasks_send_their_sets_in_order_one_at_a_time(keep_alive, monkeypatch):
+    g = helpers.authorship_graph(n_papers=60, seed=12)
+    tasks = make_tasks(g, n_tasks=8, n_candidates=12, seed=9)
+    dnc = DncConfig(length_limit=3)
+    keep_alive.latency = 0.005
+
+    def run(width):
+        cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
+                                  timeout=5.0, max_in_flight=width)
+        keep_alive.log.clear()
+        keep_alive.in_flight_peak = 0
+        opened = keep_alive.connections
+        report = run_benchmark(tasks, g, FAST, PROMPT, cfg, dnc)
+        return report, sorted(keep_alive.log), keep_alive.connections - opened
+
+    # without send, one worker: each task's sets one after another, tasks in turn
+    with monkeypatch.context() as patch:
+        patch.delattr(HttpLlmScorer, "send")
+        serial, serial_log, _ = run(1)
+    expected, task_of = [], {}
+    for row in serial.rows:
+        prompts = [prompt for *_, prompt in serial_log[:row["scorer_calls"]]]
+        del serial_log[:row["scorer_calls"]]
+        expected.append(prompts)
+        task_of.update((prompt, row["task"]) for prompt in prompts)
+    assert not serial_log and len(task_of) == sum(map(len, expected))
+
+    ahead, log, connections = run(2)
+    assert ahead.to_json() == serial.to_json()
+    by_task = [[] for _ in tasks]
+    for request in log:
+        by_task[task_of[request[2]]].append(request)
+    for task, requests in enumerate(by_task):
+        assert [prompt for *_, prompt in requests] == expected[task]
+        # each request arrives after the task's previous one was answered
+        assert all(prev[1] <= cur[0] for prev, cur in zip(requests, requests[1:]))
+    assert keep_alive.in_flight_peak <= 2 and connections <= 2
 
 
 def test_offline_backends_run_inline(monkeypatch):

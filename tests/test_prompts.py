@@ -152,6 +152,18 @@ def test_build_prompt_empty_candidates():
         build_prompt(g.id_of("p0"), "authored_by", [], anchors, g, PromptConfig())
 
 
+@pytest.mark.parametrize("missing, message", [
+    ("p0", "no anchor list supplied for source"),
+    ("a2", "no anchor list supplied for candidate"),
+])
+def test_build_prompt_needs_every_anchor_list(missing, message):
+    g, anchors = academic_fixture()
+    del anchors[g.id_of(missing)]
+    with pytest.raises(KeyError, match=f"{message} {g.id_of(missing)}"):
+        build_prompt(g.id_of("p0"), "authored_by", [g.id_of("a0"), g.id_of("a2")], anchors, g,
+                     PromptConfig())
+
+
 def big_text_fixture(text_len: int, n_candidates: int = 3):
     node_types = [NodeType("s", 0, "SS"), NodeType("c", 1, "CC")]
     edge_types = [EdgeType("rel", "s", "c")]

@@ -398,6 +398,27 @@ def test_self_loops_and_parallel_edges_match_reference():
                     _assert_matches_reference(g, center, cfg, mask)
 
 
+def test_push_at_the_centers_threshold_matches_reference(synth_graph):
+    # The center starts with residual 1 against its threshold
+    # push_tolerance * max(deg, 1): above 1 nothing is pushed and every score
+    # is 0; at exactly 1 the center is pushed.
+    g = synth_graph
+    centers = [v for v in g.nodes_of_type("paper")[:40] if len(g.all_neighbors(v)) >= 2][:5]
+    for center in centers:
+        for hops in (1, 2, 3):
+            sub = sample_subgraph(g, center, SamplerConfig(hops=hops))
+            deg = len(sub.adjacency[0])
+            for tolerance, pushed in ((1.5 / deg, False), (1.0 / deg, True)):
+                cfg = SamplerConfig(hops=hops, ppr_mode="approximate_push",
+                                    push_tolerance=tolerance)
+                assert (tolerance * max(deg, 1) > 1) is not pushed
+                scores = ppr_approx(sub, center, cfg)
+                assert list(scores.items()) == list(_ref_ppr_approx(sub, center, cfg).items())
+                assert (scores[center] > 0) is pushed
+                if not pushed:
+                    assert set(scores.values()) == {0.0}
+
+
 def test_zero_degree_group_draws_match_reference():
     # A candidate keeps the edge it was reached by, so sample_subgraph never
     # meets a zero-degree member; the group step is checked on its own.

@@ -20,6 +20,7 @@ from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.prompts import PromptConfig, build_prompt
 from lpnl.sampling import AnchorList
 from lpnl.scoring import (
+    HttpLlmScorer,
     ResponseCache,
     ScorerBackendConfig,
     ScorerError,
@@ -292,6 +293,8 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/complete", _Script
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def http_cfg(url, **kwargs):
@@ -544,6 +547,28 @@ def test_openai_style_response_shapes(http_server):
     assert resp.chosen == bundle.candidate_order[0]
 
 
+@pytest.mark.parametrize("data, text", [
+    ("bare", "bare"),
+    ({"text": "t"}, "t"),
+    ({"completion": "c"}, "c"),
+    ({"output": "o"}, "o"),
+    ({"choices": [{"text": "ct"}]}, "ct"),
+    ({"choices": [{"message": {"content": "mc"}}]}, "mc"),
+    ({"text": 7, "output": "o"}, "o"),  # the first key holding a string
+])
+def test_extract_text_response_shapes(data, text):
+    assert HttpLlmScorer._extract_text(data) == text
+
+
+@pytest.mark.parametrize("data", [
+    {}, [], 7, None, {"text": None}, {"choices": []}, {"choices": ["a1"]},
+    {"choices": [{"message": "a1"}]}, {"choices": [{"message": {"content": 1}}]},
+])
+def test_extract_text_rejects_other_shapes(data):
+    with pytest.raises(ScorerError, match="cannot find completion text"):
+        HttpLlmScorer._extract_text(data)
+
+
 # -- HTTP transport: keep-alive connections ----------------------------------------
 
 
@@ -678,3 +703,153 @@ def test_import_and_call_load_no_third_party_http_client(keep_alive):
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[:2] == ["ok", "[]"]
     assert len(keep_alive.seen) == 1
+
+
+# -- HTTP transport: a request sent ahead of its score -------------------------------
+
+
+def two_bundles():
+    """The fixture's bundle and one over the same candidates in reverse order."""
+    g, bundle = fixture()
+    anchors = {v: AnchorList(v, ()) for v in range(len(g))}
+    other = build_prompt(bundle.source, "authored_by", bundle.candidate_order[::-1], anchors, g,
+                         PromptConfig())
+    return bundle, other
+
+
+def slots_free(scorer) -> bool:
+    """Whether every in-flight slot is free; leaves them free."""
+    taken = 0
+    while taken < scorer.max_in_flight and scorer._gate.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        scorer._gate.release()
+    return taken == scorer.max_in_flight
+
+
+def finishes(fn, timeout: float = 5.0):
+    """``fn()``, run on a thread of its own; fails rather than hangs if it blocks."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "blocked on an in-flight slot"
+    return out[0]
+
+
+def test_http_send_then_score_reads_one_request_and_looks_up_once(keep_alive, tmp_path,
+                                                                   monkeypatch):
+    lookups = []
+    real_lookup = ResponseCache.lookup
+
+    def counting(self, key):
+        lookups.append(key)
+        return real_lookup(self, key)
+
+    monkeypatch.setattr(ResponseCache, "lookup", counting)
+    bundle, _ = two_bundles()
+    scorer = make_scorer(http_cfg(keep_alive.url, cache_path=str(tmp_path / "c.jsonl")))
+    scorer.send(bundle)
+    assert not slots_free(scorer)  # held until the answer is read
+    first = scorer.score(bundle)
+    assert (first.chosen, first.resolution) == (bundle.candidate_order[0], "alias_match")
+    assert len(keep_alive.seen) == 1 and len(lookups) == 1 and slots_free(scorer)
+    scorer.send(bundle)  # a cache hit: nothing goes out
+    assert slots_free(scorer)
+    assert scorer.score(bundle) == first
+    assert len(keep_alive.seen) == 1 and len(lookups) == 2
+    assert keep_alive.connections == 1
+    scorer.close()
+
+
+@pytest.mark.parametrize("replies, requests, error", [
+    ([(400, b"bad prompt", {})], 1, r"request rejected \(400\): bad prompt"),
+    ([(302, b"moved", {"Location": "http://elsewhere.test/"})], 1,
+     r"Location: http://elsewhere\.test/"),
+    ([(503, b"busy", {"Retry-After": "0"})], 2, None),
+    ([(429, b"slow down", {})], 2, None),
+    ([(200, b"not json", {})], 2, None),
+])
+def test_http_sent_request_keeps_the_status_rules(keep_alive, replies, requests, error):
+    keep_alive.replies = list(replies)
+    bundle, _ = two_bundles()
+    scorer = make_scorer(http_cfg(keep_alive.url, max_retries=3, max_in_flight=1))
+    scorer.send(bundle)
+    if error is None:
+        assert scorer.score(bundle).chosen == bundle.candidate_order[0]
+    else:
+        with pytest.raises(ScorerError, match=error) as excinfo:
+            scorer.score(bundle)
+        assert not isinstance(excinfo.value, TransportError)
+    assert len(keep_alive.seen) == requests
+    assert slots_free(scorer)
+    scorer.close()
+
+
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_http_failure_while_sending_is_the_first_attempt(keep_alive, monkeypatch, attempts):
+    bundle, _ = two_bundles()
+    scorer = make_scorer(http_cfg(keep_alive.url, max_retries=attempts, max_in_flight=1))
+    writes = []
+    real_write = scorer._write
+
+    def reset_once(payload):
+        writes.append(payload)
+        if len(writes) == 1:
+            raise ConnectionResetError("reset while sending")
+        return real_write(payload)
+
+    monkeypatch.setattr(scorer, "_write", reset_once)
+    scorer.send(bundle)
+    assert slots_free(scorer)
+    if attempts == 1:
+        with pytest.raises(TransportError, match="ConnectionResetError: reset while sending"):
+            scorer.score(bundle)
+    else:
+        assert scorer.score(bundle).chosen == bundle.candidate_order[0]
+    assert (len(writes), len(keep_alive.seen)) == (attempts, attempts - 1)
+    assert slots_free(scorer)
+    scorer.close()
+
+
+def test_http_scoring_another_prompt_closes_the_unread_request(keep_alive, tmp_path):
+    bundle, other = two_bundles()
+    scorer = make_scorer(http_cfg(keep_alive.url, max_in_flight=1,
+                                  cache_path=str(tmp_path / "c.jsonl")))
+
+    def send_then_score_other():
+        scorer.send(bundle)
+        # with one slot, this would wait forever on the slot bundle's request holds
+        return scorer.score(other)
+
+    assert finishes(send_then_score_other).chosen == other.candidate_order[0]
+    assert keep_alive.dropped.acquire(timeout=5)  # the sent request's connection closed
+    assert finishes(send_then_score_other).chosen == other.candidate_order[0]  # a cache hit
+    assert slots_free(scorer)
+
+    def send_twice():
+        scorer.send(other)  # a hit: holds nothing
+        scorer.send(bundle)
+        scorer.send(bundle)  # closes the first of the two, unread
+        return scorer.score(bundle)
+
+    assert finishes(send_twice).chosen == bundle.candidate_order[0]
+    assert slots_free(scorer)
+    prompts = [body["prompt"] for _, _, body in keep_alive.seen]
+    assert prompts[0] == bundle.text and prompts[-1] == bundle.text
+    scorer.close()
+
+
+def test_close_frees_the_slot_of_a_request_never_read(keep_alive):
+    bundle, other = two_bundles()
+    scorer = make_scorer(http_cfg(keep_alive.url, max_in_flight=1))
+    scorer.send(bundle)
+    scorer.close()
+    # another thread: only close can free the slot this thread's request holds
+    assert finishes(lambda: scorer.score(other)).chosen == other.candidate_order[0]
+    scorer.close()
+
+
+def test_offline_backends_have_no_send():
+    for kind in ("fixed_index", "oracle_truth", "lexical_overlap"):
+        assert not hasattr(make_scorer(ScorerBackendConfig(kind=kind)), "send")

@@ -1,14 +1,18 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
+import lpnl.prompts
 import lpnl.sampling
+import lpnl.scoring
 import lpnl.tournament
-from lpnl.graph import EdgeType, HetGraph, NodeType
+from lpnl.graph import EdgeType, HetGraph, NodeType, UnknownNodeError
 from lpnl.prompts import PromptConfig
 from lpnl.sampling import TIE_EPS, SamplerConfig
-from lpnl.scoring import ScorerBackendConfig, make_scorer
+from lpnl.scoring import ScorerBackendConfig, close_scorer, make_scorer
 from lpnl.tournament import (
     DncConfig,
     PredictionAborted,
@@ -401,3 +405,145 @@ def test_dnc_config_validation():
         DncConfig(length_limit=1)
     with pytest.raises(ValueError):
         DncConfig(grouping="zigzag")
+
+
+# -- one request ahead against http_llm ------------------------------------------
+
+
+def http_backend(url, **kwargs):
+    return make_scorer(ScorerBackendConfig(
+        kind="http_llm", endpoint_url=url, model_name="m", timeout=5.0, backoff=0.0, **kwargs,
+    ))
+
+
+def test_unknown_candidate_raises_before_any_request(keep_alive):
+    g, source, candidates = tournament_fixture(6)
+    backend = http_backend(keep_alive.url)
+    # the unknown id sits in the last set, after three sets could have gone out
+    with pytest.raises(UnknownNodeError):
+        predict(
+            g, source, "authored_by", [*candidates, len(g)], FAST_SAMPLER, PROMPT, backend,
+            DncConfig(length_limit=2, grouping="sequential"),
+        )
+    backend.close()
+    assert keep_alive.seen == [] and keep_alive.connections == 0
+
+
+def failing_build(monkeypatch, at_call: int) -> None:
+    """Make the tournament's ``at_call``-th ``build_prompt`` call raise."""
+    real = lpnl.prompts.build_prompt
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == at_call:
+            raise RuntimeError("cannot render")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lpnl.tournament, "build_prompt", build)
+
+
+def build_prompt_text(g, source, members):
+    anchors = lpnl.sampling.anchors_for(g, (source, *members), FAST_SAMPLER)
+    return lpnl.prompts.build_prompt(source, "authored_by", members, anchors, g, PROMPT).text
+
+
+def test_build_failure_after_a_sent_set_scores_that_set_first(keep_alive, monkeypatch):
+    g, source, candidates = tournament_fixture(9)
+    dnc = DncConfig(length_limit=3, grouping="sequential")
+    traces = []
+    # fixed_index 0 answers as the endpoint does, with the first candidate
+    for backend in (make_scorer(ScorerBackendConfig(kind="fixed_index")),
+                    http_backend(keep_alive.url, max_in_flight=1)):
+        failing_build(monkeypatch, at_call=2)
+        with pytest.raises(PredictionAborted, match="set scoring failed: cannot render") as excinfo:
+            predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend, dnc)
+        traces.append(excinfo.value.trace)
+        close_scorer(backend)
+    set_by_set, ahead = traces
+    assert ahead == set_by_set
+    assert ahead.rounds == (Round(
+        (tuple(candidates[:3]), tuple(candidates[3:6]), tuple(candidates[6:])), (candidates[0],),
+    ),)
+    assert ahead.final is None and ahead.scorer_calls == 1
+    assert sorted(ahead.tie_scores) == sorted(candidates)
+    assert [body["prompt"] for _, _, body in keep_alive.seen] == [
+        build_prompt_text(g, source, candidates[:3])
+    ]
+
+
+def test_sent_set_that_fails_is_the_failure_when_the_next_build_fails(keep_alive, monkeypatch):
+    # a set-by-set run scores set 1, fails there, and never builds set 2
+    g, source, candidates = tournament_fixture(9)
+    keep_alive.replies = [(400, b"unknown model", {})]
+    failing_build(monkeypatch, at_call=2)
+    backend = http_backend(keep_alive.url, max_in_flight=1)
+    with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
+        predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend,
+                DncConfig(length_limit=3, grouping="sequential"))
+    backend.close()
+    assert excinfo.value.trace.rounds[0].winners == ()
+    assert len(keep_alive.seen) == 1
+
+
+def test_predict_closes_a_backend_it_built(keep_alive, monkeypatch):
+    closed = []
+    real_close = lpnl.scoring.HttpLlmScorer.close
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(lpnl.scoring.HttpLlmScorer, "close", recording_close)
+    g, source, candidates = tournament_fixture(4)
+    cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
+                              timeout=5.0)
+    predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
+    assert len(closed) == 1
+    keep_alive.replies = [(400, b"no", {})]
+    with pytest.raises(PredictionAborted):
+        predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
+    assert len(closed) == 2
+    shared = http_backend(keep_alive.url)
+    predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, shared, DncConfig())
+    assert len(closed) == 2  # a backend passed in stays open for its owner
+    shared.close()
+
+
+def test_threads_sharing_one_backend_keep_one_request_each(keep_alive):
+    # more threads than slots and cores, switching threads as often as the
+    # interpreter allows: every thread keeps its own sent request, the slots
+    # bound what is in flight, and each one is free again at the end
+    g, source, candidates = tournament_fixture(20)
+    dnc = DncConfig(length_limit=3, grouping="sequential")
+    expected = predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT,
+                       make_scorer(ScorerBackendConfig(kind="fixed_index")), dnc)
+    backend = http_backend(keep_alive.url, max_in_flight=3)
+    traces, errors = [], []
+
+    def work():
+        try:
+            for _ in range(3):
+                traces.append(predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT,
+                                      backend, dnc))
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and traces == [expected] * 18
+    assert len(keep_alive.seen) == 18 * expected.scorer_calls
+    assert keep_alive.in_flight_peak <= 3 and keep_alive.connections <= 3
+    assert backend._sent == {}
+    for _ in range(3):
+        assert backend._gate.acquire(blocking=False)
+    backend.close()
