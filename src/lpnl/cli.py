@@ -348,7 +348,10 @@ def _cmd_gen_train(args, g: HetGraph, cfg: dict) -> int:
 
 def _cmd_eval(args, g: HetGraph, cfg: dict) -> int:
     tasks = read_tasks(args.tasks, g)
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (0,)
+    if args.seeds:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    else:
+        seeds = (cfg["sampler"].rng_seed,)
     started = time.perf_counter()
     report = run_benchmark(
         tasks, g,
@@ -422,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", _cmd_eval, "benchmark a scorer over a task file",
                 ("sampler", "prompt", "scorer", "dnc"))
     p.add_argument("--tasks", required=True)
-    p.add_argument("--seeds", help="comma-separated seeds, default 0")
+    p.add_argument("--seeds", help="comma-separated seeds; default: sampler.rng_seed")
     p.add_argument("--out")
 
     return parser

@@ -240,7 +240,6 @@ def describe_node(
     v: int,
     anchors: AnchorList,
     g: HetGraph,
-    cfg: PromptConfig,
     max_anchors: int | None = None,
 ) -> NodeDescription:
     """Render one node with up to ``max_anchors`` of its anchors.

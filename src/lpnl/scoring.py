@@ -2,8 +2,9 @@
 
 A backend is any object with ``score(bundle) -> ScorerResponse``, taking
 the :class:`~lpnl.prompts.PromptBundle` that ``build_prompt`` returned.
-``http_llm`` also has ``send(bundle)``, which starts the request so that
-the caller can work while the model answers, and ``close()``.
+``http_llm`` starts each request (a cache lookup and, on a miss, a write)
+and then reads it; its ``send(bundle)`` only starts one, so that the caller
+can work while the model answers, and ``close()`` closes what it holds.
 
 The production backend calls a remote text-completion endpoint; three
 deterministic local backends exist so the whole pipeline runs (and is
@@ -321,12 +322,11 @@ _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 @dataclass
-class _Sent:
-    """A prompt :meth:`HttpLlmScorer.send` started that no ``score`` has read.
+class _Started:
+    """A started prompt, awaiting its read.
 
     ``hit`` is its cache entry, looked up once. On a miss ``conn`` holds the
-    written request and a gate slot, or ``error`` says why it could not be
-    written; either way it is the first attempt.
+    written request and its gate slot, or ``error`` says why writing failed.
     """
 
     key: str
@@ -356,11 +356,12 @@ class HttpLlmScorer:
     without spending an attempt. No proxy, ``.netrc`` or gzip support;
     HTTPS verifies against the system trust store.
 
-    :meth:`send` lets a caller work while the model answers: it writes the
-    request and returns, holding the slot, and the same thread's next
-    :meth:`score` of that bundle reads the answer as its first attempt. A
-    thread has at most one sent request unread; sending or scoring another
-    prompt closes it, and so does :meth:`close`.
+    Every request is started, then read. Starting hashes the prompt and
+    looks it up in the cache once; a miss writes the request under a gate
+    slot that the read frees, and each retry writes it again. :meth:`send`
+    starts a prompt so the caller can work while the model answers; the
+    thread's next :meth:`score` of it reads it, and sending or scoring
+    another prompt closes it unread, as :meth:`close` does.
 
     Fresh and cached answers alike go through :func:`resolve_output`.
     Answers that resolve only by ``fallback`` are not cached, so a later
@@ -380,8 +381,8 @@ class HttpLlmScorer:
         # idle keep-alive connections; list.append and list.pop are atomic,
         # and only callers holding the gate touch it
         self._idle: list[http.client.HTTPConnection] = []
-        # each thread's unread sent prompt, by thread id
-        self._sent: dict[int, _Sent] = {}
+        # the prompt each thread's send started and no score has read, by thread id
+        self._sent: dict[int, _Started] = {}
         if cfg.api_key_env_var:
             key = os.environ.get(cfg.api_key_env_var)
             if key:
@@ -393,74 +394,60 @@ class HttpLlmScorer:
                 )
 
     def send(self, bundle: PromptBundle) -> None:
-        """Start scoring ``bundle``; this thread's next :meth:`score` of it finishes.
+        """Start ``bundle``'s request; this thread's next :meth:`score` of it reads it.
 
-        A cache hit sends nothing. On a miss the request is written under a
-        gate slot and its response left unread; a failure to write it is
-        kept as the first attempt's. An unread request this thread sent
+        A cache hit sends nothing. An unread request this thread started
         before is closed first.
         """
         thread = threading.get_ident()
         self._discard(self._sent.pop(thread, None))
-        key = prompt_hash(bundle.text, self.cfg.model_name, self.cfg.max_output_tokens)
-        hit = self.cache.lookup(key) if self.cache is not None else None
-        sent = _Sent(key, bundle.text, hit)
-        if hit is None:
-            self._gate.acquire()
-            try:
-                sent.conn = self._write(self._payload(bundle.text))
-            except _TRANSPORT_ERRORS as exc:
-                self._gate.release()
-                sent.error = exc
-            except BaseException:
-                self._gate.release()
-                raise
-        self._sent[thread] = sent
+        self._sent[thread] = self._start(bundle.text)
 
     def score(self, bundle: PromptBundle) -> ScorerResponse:
-        thread = threading.get_ident()
-        sent = self._sent.get(thread)
-        if sent is None or sent.prompt != bundle.text:
-            self._discard(self._sent.pop(thread, None))
-            key = prompt_hash(bundle.text, self.cfg.model_name, self.cfg.max_output_tokens)
-            hit = self.cache.lookup(key) if self.cache is not None else None
-        else:
-            # hashed and looked up once, by send (hashing a prompt lets go of
-            # the GIL); on a miss _complete reads the sent request
-            key, hit = sent.key, sent.hit
-            if hit is not None:
-                del self._sent[thread]
-        raw = hit["raw_output"] if hit is not None else self._complete(bundle.text)
+        """Read this thread's request started for ``bundle``, else start one and read it."""
+        started = self._sent.pop(threading.get_ident(), None)
+        if started is None or started.prompt != bundle.text:
+            self._discard(started)
+            started = self._start(bundle.text)
+        hit = started.hit
+        raw = hit["raw_output"] if hit is not None else self._complete(started)
         chosen, resolution = resolve_output(raw, bundle)
         response = ScorerResponse(chosen=chosen, raw_output=raw, resolution=resolution)
         if hit is None and self.cache is not None and resolution != RESOLUTION_FALLBACK:
-            self.cache.store(key, self.cfg.model_name, response)
+            self.cache.store(started.key, self.cfg.model_name, response)
         return response
 
-    def _payload(self, prompt_text: str) -> bytes:
-        return json.dumps({
-            "model": self.cfg.model_name,
-            "prompt": prompt_text,
-            "max_output_tokens": self.cfg.max_output_tokens,
-        }).encode("utf-8")
+    def _start(self, prompt_text: str) -> _Started:
+        """Hash and look up ``prompt_text`` once; on a miss, write its request."""
+        key = prompt_hash(prompt_text, self.cfg.model_name, self.cfg.max_output_tokens)
+        hit = self.cache.lookup(key) if self.cache is not None else None
+        started = _Started(key, prompt_text, hit)
+        if hit is None:
+            self._post(started)
+        return started
 
-    def _complete(self, prompt_text: str) -> str:
-        """The model's answer to ``prompt_text``.
+    def _post(self, started: _Started) -> None:
+        """Write ``started``'s request under a gate slot; a transport failure frees it."""
+        started.conn = started.error = None
+        self._gate.acquire()
+        try:
+            started.conn = self._write(started.prompt)
+        except _TRANSPORT_ERRORS as exc:
+            self._gate.release()
+            started.error = exc
+        except BaseException:
+            self._gate.release()
+            raise
 
-        A request this thread sent is the first attempt; :meth:`score` keeps
-        only a sent miss for this prompt when it calls here.
-        """
-        sent = self._sent.pop(threading.get_ident(), None)
-        payload = self._payload(prompt_text)
+    def _complete(self, started: _Started) -> str:
+        """The model's answer to a started miss; each attempt reads one write."""
         last_error: Exception | None = None
         for attempt in range(self.cfg.max_retries):
+            if attempt:
+                self._post(started)
             retry_after = 0.0
             try:
-                if attempt == 0 and sent is not None:
-                    status, headers, body = self._receive(sent)
-                else:
-                    with self._gate:
-                        status, headers, body = self._read(self._write(payload))
+                status, headers, body = self._receive(started)
             except _TRANSPORT_ERRORS as exc:
                 last_error = TransportError(f"transport failure: {type(exc).__name__}: {exc}")
             else:
@@ -488,11 +475,16 @@ class HttpLlmScorer:
                 time.sleep(max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after))
         raise last_error or TransportError("remote completion failed")
 
-    def _write(self, payload: bytes) -> http.client.HTTPConnection:
-        """POST ``payload`` on a pooled connection, leaving the response unread.
+    def _write(self, prompt_text: str) -> http.client.HTTPConnection:
+        """POST ``prompt_text``'s request on a pooled connection, leaving the response unread.
 
-        Call only under the gate, and keep it until :meth:`_read` is done.
+        Call only under the gate, and keep it until :meth:`_receive` is done.
         """
+        payload = json.dumps({
+            "model": self.cfg.model_name,
+            "prompt": prompt_text,
+            "max_output_tokens": self.cfg.max_output_tokens,
+        }).encode("utf-8")
         conn = self._connection()
         try:
             conn.request("POST", self._target, body=payload, headers=self._headers)
@@ -501,44 +493,43 @@ class HttpLlmScorer:
             raise
         return conn
 
-    def _read(self, conn: http.client.HTTPConnection) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """``conn``'s response read to the end, (status, headers, body); pools or closes ``conn``."""
+    def _receive(self, started: _Started) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """``started``'s response read to the end, (status, headers, body).
+
+        Frees its gate slot, after pooling or closing its connection.
+        """
+        if started.error is not None:
+            raise started.error  # writing failed, and freed the slot then
+        conn = started.conn
         try:
             resp = conn.getresponse()
             body = resp.read()
+            if resp.will_close:
+                conn.close()
+            else:
+                self._idle.append(conn)
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
-            self._idle.append(conn)
-        return resp.status, resp.headers, body
-
-    def _receive(self, sent: _Sent) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """The response to a request :meth:`send` wrote; frees its gate slot."""
-        if sent.error is not None:
-            raise sent.error  # writing failed, and freed the slot then
-        try:
-            return self._read(sent.conn)
         finally:
             self._gate.release()
+        return resp.status, resp.headers, body
 
-    def _discard(self, sent: _Sent | None) -> None:
-        """Close a sent request that will not be read, freeing its gate slot."""
-        if sent is not None and sent.conn is not None:
-            sent.conn.close()
+    def _discard(self, started: _Started | None) -> None:
+        """Close a started request that will not be read, freeing its gate slot."""
+        if started is not None and started.conn is not None:
+            started.conn.close()
             self._gate.release()
 
     def close(self) -> None:
-        """Close the idle connections and every sent request no score read.
+        """Close the idle connections and every started request no score read.
 
         Frees the gate slots those requests held; a later call opens new
         connections. Call it when no other thread is sending or scoring.
         """
         sent, self._sent = self._sent, {}
-        for pending in sent.values():
-            self._discard(pending)
+        for started in sent.values():
+            self._discard(started)
         idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()

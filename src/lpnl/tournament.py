@@ -193,29 +193,8 @@ def predict(
 
     # an already-built backend may be passed in place of the config so many
     # predictions can share one connection pool, cache and in-flight ceiling
-    if hasattr(scorer_cfg, "score"):
-        return _play(g, source, relation, candidates, sampler_cfg, prompt_cfg, scorer_cfg,
-                     dnc_cfg, mask)
-    scorer = make_scorer(scorer_cfg)
-    try:
-        return _play(g, source, relation, candidates, sampler_cfg, prompt_cfg, scorer,
-                     dnc_cfg, mask)
-    finally:
-        close_scorer(scorer)
-
-
-def _play(
-    g: HetGraph,
-    source: int,
-    relation: EdgeType,
-    candidates: list[int],
-    sampler_cfg: SamplerConfig,
-    prompt_cfg: PromptConfig,
-    scorer,
-    dnc_cfg: DncConfig,
-    mask: EdgeMask | None,
-) -> PredictionTrace:
-    """The rounds of :func:`predict`, on a built backend."""
+    built = not hasattr(scorer_cfg, "score")
+    scorer = make_scorer(scorer_cfg) if built else scorer_cfg
     send = getattr(scorer, "send", None)
     anchors: dict[int, AnchorList] = {}
 
@@ -233,30 +212,34 @@ def _play(
     rounds: list[Round] = []
     pool = list(candidates)
     failure: Exception | None = None
-    while len(pool) > 1 and failure is None:
-        if not rounds:
-            sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
-        else:
-            sets = partition(pool, dnc_cfg.length_limit, "sequential")
-        winners: list[int] = []
-        sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
-        try:
-            for members in sets:
-                try:
-                    bundle = build(members)
-                finally:
-                    # the previous set's answer, read once this set is built
-                    # or, if building it failed, before that failure counts
-                    if sent is not None:
-                        winners.append(winner(*sent))
-                sent = (members, bundle)
-                if send is not None:
-                    send(bundle)
-            winners.append(winner(*sent))
-        except Exception as exc:
-            failure = exc
-        rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
-        pool = winners
+    try:
+        while len(pool) > 1 and failure is None:
+            if not rounds:
+                sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
+            else:
+                sets = partition(pool, dnc_cfg.length_limit, "sequential")
+            winners: list[int] = []
+            sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
+            try:
+                for members in sets:
+                    try:
+                        bundle = build(members)
+                    finally:
+                        # the previous set's answer, read once this set is built
+                        # or, if building it failed, before that failure counts
+                        if sent is not None:
+                            winners.append(winner(*sent))
+                    sent = (members, bundle)
+                    if send is not None:
+                        send(bundle)
+                winners.append(winner(*sent))
+            except Exception as exc:
+                failure = exc
+            rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
+            pool = winners
+    finally:
+        if built:
+            close_scorer(scorer)
 
     # a lone candidate meets no set, and an aborted run may stop before some
     anchors.update(anchors_for(g, [c for c in candidates if c not in anchors], sampler_cfg, mask))

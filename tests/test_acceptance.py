@@ -366,8 +366,8 @@ def test_criterion_6_masking_integrity():
             masked_v = top_k_anchors(g, v, cfg, mask)
             removed_v = top_k_anchors(stripped, v, cfg)
             assert masked_v == removed_v
-            rendered_masked = describe_node(u, masked_u, g, prompt_cfg).rendered
-            rendered_removed = describe_node(u, removed_u, stripped, prompt_cfg).rendered
+            rendered_masked = describe_node(u, masked_u, g).rendered
+            rendered_removed = describe_node(u, removed_u, stripped).rendered
             assert rendered_masked == rendered_removed
             if i % 10 == 0:
                 target_type = g.edge_type(t_name).target_type
@@ -449,7 +449,8 @@ def test_criterion_8_end_to_end_cli(synth_on_disk):
             )
             elapsed = time.perf_counter() - started
             assert result.returncode == 0, result.stderr
-            return json.loads(open(out).read()), elapsed
+            with open(out, encoding="utf-8") as fh:
+                return json.load(fh), elapsed
 
         lexical, t_lex = run_eval(["--backend", "lexical_overlap"], "lexical.json")
         fixed, t_fix = run_eval(

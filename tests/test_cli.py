@@ -116,7 +116,7 @@ def test_score_subcommand(cli_graph, tmp_path):
         assert choice["resolution"] == "exact_match"
 
 
-def test_score_takes_candidate_texts_from_the_graph(tmp_path, monkeypatch):
+def test_score_takes_candidate_texts_from_the_graph(tmp_path, keep_alive):
     # a candidate's own text contains the prompt's anchor separator
     g = HetGraph(
         [NodeType("paper", 0, "PA"), NodeType("author", 1, "AU")],
@@ -145,11 +145,11 @@ def test_score_takes_candidate_texts_from_the_graph(tmp_path, monkeypatch):
 
     # the model names y by its full text; a text cut at the separator would
     # make x's "deep nets" a prefix of the answer and pick x
-    monkeypatch.setattr(scoring.HttpLlmScorer, "_complete", lambda self, text: "deep nets for vision")
+    keep_alive.replies = [(200, b'{"text": "deep nets for vision"}', {})]
     out = str(tmp_path / "http.ndjson")
     assert main(flags + [
         "score", "--prompts", prompts, "--backend", "http_llm",
-        "--endpoint-url", "http://127.0.0.1:9/complete", "--model", "m", "--out", out,
+        "--endpoint-url", keep_alive.url, "--model", "m", "--out", out,
     ]) == 0
     choice = read_ndjson(out)[0]
     assert (choice["chosen"], choice["resolution"]) == ("y", "exact_match")
@@ -184,7 +184,7 @@ def test_predict_subcommand_and_dry_run(cli_graph, tmp_path):
     assert all(b["token_count"] <= 1024 for b in bundles)
 
 
-def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch):
+def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch, keep_alive):
     g, flags = cli_graph
     tasks = write_tasks(tmp_path, g, n=5, with_truth=False)
     loads = []
@@ -195,22 +195,18 @@ def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch):
         real_load(self)
 
     monkeypatch.setattr(scoring.ResponseCache, "_load", counting_load)
-    # answer with the first candidate's alias instead of calling a model
-    monkeypatch.setattr(
-        scoring.HttpLlmScorer, "_complete",
-        lambda self, text: parse_prompt(text).candidate_segments[0].split(": ", 1)[0],
-    )
     cache = str(tmp_path / "cache.ndjson")
     out = str(tmp_path / "traces.ndjson")
     code = main(flags + [
         "predict", "--tasks", tasks, "--backend", "http_llm",
-        "--endpoint-url", "http://127.0.0.1:9/complete", "--model", "m", "--cache", cache,
+        "--endpoint-url", keep_alive.url, "--model", "m", "--cache", cache,
         "--hops", "1", "--k", "2", "--length-limit", "2", "--seed", "0",
         "--out", out,
     ])
     assert code == 0
     assert len(read_ndjson(out)) == 5
     assert loads == [cache]
+    assert keep_alive.connections == 1  # one backend, one keep-alive connection
 
 
 def test_predict_writes_the_aborted_trace_and_exits_1(cli_graph, tmp_path, keep_alive):
@@ -268,6 +264,21 @@ def test_eval_subcommand_oracle(cli_graph, tmp_path, capsys):
     assert report["tasks"] == 3
     table = capsys.readouterr().err
     assert "Hits@1" in table
+
+
+def test_eval_seed_is_the_seed_it_runs(cli_graph, tmp_path):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, with_truth=True)
+    reports = []
+    for seed_flags in (["--seed", "5"], ["--seeds", "5"]):
+        out = tmp_path / "report.json"
+        assert main(flags + [
+            "eval", "--tasks", tasks, "--backend", "lexical_overlap",
+            "--hops", "1", "--k", "2", *seed_flags, "--out", str(out),
+        ]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["seeds"] == [5]
 
 
 def test_eval_empty_task_file(cli_graph, tmp_path):

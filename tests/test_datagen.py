@@ -194,6 +194,17 @@ def test_insufficient_edges_error():
         list(generate_examples(g, cfg, FAST, PROMPT))
 
 
+@pytest.mark.parametrize("policy", ["random_same_type", "shared_neighbor"])
+def test_too_few_negatives_error(policy):
+    # three authors, two per paper: one author is left to draw from
+    g = helpers.authorship_graph(n_papers=10, n_authors=3, authors_per_paper=2)
+    cfg = DatagenConfig(relation="authored_by", num_examples=1, candidates_per_example=3,
+                        negative_policy=policy)
+    with pytest.raises(InsufficientEdgesError,
+                       match=r"cannot draw 2 negatives for source \d+: 1 available"):
+        list(generate_examples(g, cfg, FAST, PROMPT))
+
+
 def test_jsonl_roundtrip(tmp_path):
     g = helpers.authorship_graph(n_papers=30)
     cfg = DatagenConfig(relation="authored_by", num_examples=12, rng_seed=13)

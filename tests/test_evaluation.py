@@ -345,6 +345,46 @@ def test_http_tasks_send_their_sets_in_order_one_at_a_time(keep_alive, monkeypat
     assert keep_alive.in_flight_peak <= 2 and connections <= 2
 
 
+def test_http_outputs_match_whichever_way_requests_start(keep_alive, monkeypatch, tmp_path):
+    # scored directly (no send) and sent ahead, at every width: the same report,
+    # the same cache lines, and each task's requests in the same order
+    g = helpers.authorship_graph(n_papers=60, seed=12)
+    tasks = make_tasks(g, n_tasks=8, n_candidates=12, seed=9)
+    dnc = DncConfig(length_limit=3)
+
+    def run(name, width):
+        cache = tmp_path / f"{name}-{width}.jsonl"
+        cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
+                                  timeout=5.0, max_in_flight=width, cache_path=str(cache))
+        keep_alive.seen.clear()
+        report = run_benchmark(tasks, g, FAST, PROMPT, cfg, dnc)
+        prompts = [body["prompt"] for _, _, body in keep_alive.seen]
+        return report, cache.read_text(encoding="utf-8").splitlines(), prompts
+
+    with monkeypatch.context() as patch:
+        patch.delattr(HttpLlmScorer, "send")
+        runs = [run("direct", width) for width in (1, 2, 4)]
+    runs += [run("ahead", width) for width in (1, 2, 4)]
+    serial, serial_cache, serial_log = runs[0]
+    # one worker runs the tasks in turn, so the log splits into each task's requests
+    task_of = {}
+    for row in serial.rows:
+        task_of.update((prompt, row["task"]) for prompt in serial_log[:row["scorer_calls"]])
+        del serial_log[:row["scorer_calls"]]
+    assert not serial_log and len(task_of) == len(serial_cache)
+    offline = run_benchmark(tasks, g, FAST, PROMPT, ScorerBackendConfig(kind="fixed_index"), dnc)
+    assert serial.to_json() == offline.to_json()  # the endpoint names each set's first
+    for report, cache, log in runs[1:]:
+        assert report.to_json() == serial.to_json()
+        assert sorted(cache) == sorted(serial_cache)
+        by_task = {}
+        for prompt in log:
+            by_task.setdefault(task_of[prompt], []).append(prompt)
+        assert by_task == {
+            task: [p for p in task_of if task_of[p] == task] for task in range(len(tasks))
+        }
+
+
 def test_offline_backends_run_inline(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("an offline backend started a thread pool")

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,41 @@ def test_dangling_endpoint_error_names_the_node(toy_files, tmp_path):
     bad.write_text("a1\t99\twrites\n")
     with pytest.raises(GraphFormatError, match="99"):
         load_graph(nodes, str(bad), schema)
+
+
+def test_dangling_edge_source_names_the_node_and_line(toy_files, tmp_path):
+    nodes, _, schema = toy_files
+    bad = tmp_path / "bad_edges.tsv"
+    bad.write_text("a1\tp1\twrites\na9\tp1\twrites\n")
+    with pytest.raises(GraphFormatError, match=r"bad_edges\.tsv:2: edge endpoint 'a9' does not"):
+        load_graph(nodes, str(bad), schema)
+
+
+PAPER = {"name": "paper", "identifier_tag": "PA"}
+
+
+@pytest.mark.parametrize("schema_text, message", [
+    (json.dumps({"node_types": [PAPER, {"name": "paper", "identifier_tag": "PB"}]}),
+     "duplicate node type name in schema"),
+    (json.dumps({"node_types": [PAPER], "edge_types": [
+        {"name": "cites", "source": "paper", "target": "paper"},
+        {"name": "cites", "source": "paper", "target": "paper"}]}),
+     "duplicate edge type name in schema"),
+    (json.dumps({"node_types": [PAPER], "edge_types": [
+        {"name": "cites", "source": "paper", "target": "venue"}]}),
+     "edge type 'cites' references unknown node type 'venue'"),
+    ('{"node_types": [', "schema is not valid JSON"),
+    (json.dumps({"node_types": [{"name": "paper"}]}),
+     "schema entry missing field: 'identifier_tag'"),
+    (json.dumps({"node_types": [], "edge_types": []}), "schema declares no node types"),
+])
+def test_schema_error_names_the_schema(toy_files, tmp_path, schema_text, message):
+    nodes, edges, _ = toy_files
+    schema = tmp_path / "schema_bad.json"
+    schema.write_text(schema_text)
+    with pytest.raises(GraphFormatError, match=re.escape(message)) as excinfo:
+        load_graph(nodes, edges, str(schema))
+    assert (excinfo.value.path, excinfo.value.line) == (str(schema), None)
 
 
 def test_malformed_record_reports_line_number(toy_files, tmp_path):

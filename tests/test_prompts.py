@@ -75,7 +75,7 @@ def test_estimate_tokens_pluggable():
 
 def test_describe_node_no_anchors():
     g, anchors = academic_fixture()
-    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g, PromptConfig(), max_anchors=0)
+    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g, max_anchors=0)
     assert desc.rendered == "p1: kernel methods for lattice models [PA]"
     assert "is related with" not in desc.rendered
     assert desc.anchors_used == 0
@@ -83,7 +83,7 @@ def test_describe_node_no_anchors():
 
 def test_describe_node_rendered_shape_and_order():
     g, anchors = academic_fixture()
-    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g, PromptConfig())
+    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g)
     assert desc.rendered == (
         "p1: kernel methods for lattice models [PA] is related with "
         "f1: lattice theory [FD], p2: entropy bounds in sparse regimes [PA], "
@@ -95,7 +95,7 @@ def test_describe_node_rendered_shape_and_order():
 def test_describe_node_wrong_center_rejected():
     g, anchors = academic_fixture()
     with pytest.raises(ValueError, match="belongs to"):
-        describe_node(g.id_of("p1"), anchors[g.id_of("p0")], g, PromptConfig())
+        describe_node(g.id_of("p1"), anchors[g.id_of("p0")], g)
 
 
 def test_build_prompt_shape_and_order():
@@ -244,7 +244,7 @@ def test_describe_node_rejects_empty_text():
     g, anchors = academic_fixture()
     g._texts[g.id_of("p0")] = ""
     with pytest.raises(EmptyNodeTextError):
-        describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g, PromptConfig())
+        describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g)
 
 
 def test_prompt_config_validation():

@@ -686,14 +686,16 @@ def test_http_endpoint_url_needs_http_scheme_and_host(url):
 
 
 def test_import_and_call_load_no_third_party_http_client(keep_alive):
-    keep_alive.replies = [(200, b'{"text": "ok"}', {})]
+    keep_alive.replies = [(200, b'{"text": "ok computer"}', {})]
     program = (
         "import sys\n"
         "import lpnl\n"
+        "from lpnl.prompts import PromptBundle\n"
         "from lpnl.scoring import ScorerBackendConfig, make_scorer\n"
         "scorer = make_scorer(ScorerBackendConfig(\n"
         f"    kind='http_llm', endpoint_url={keep_alive.url!r}, model_name='m'))\n"
-        "print(scorer._complete('any prompt'))\n"
+        "bundle = PromptBundle('any prompt', 3, 0, (1,), ('a1',), ('ok computer',))\n"
+        "print(scorer.score(bundle).raw_output)\n"
         "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -701,7 +703,7 @@ def test_import_and_call_load_no_third_party_http_client(keep_alive):
     result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                             timeout=60, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["ok", "[]"]
+    assert result.stdout.split("\n")[:2] == ["ok computer", "[]"]
     assert len(keep_alive.seen) == 1
 
 
@@ -762,19 +764,31 @@ def test_http_send_then_score_reads_one_request_and_looks_up_once(keep_alive, tm
     scorer.close()
 
 
-@pytest.mark.parametrize("replies, requests, error", [
+# (replies, requests, error): the status rules, whichever way a request starts
+STATUS_RULES = [
     ([(400, b"bad prompt", {})], 1, r"request rejected \(400\): bad prompt"),
     ([(302, b"moved", {"Location": "http://elsewhere.test/"})], 1,
      r"Location: http://elsewhere\.test/"),
     ([(503, b"busy", {"Retry-After": "0"})], 2, None),
     ([(429, b"slow down", {})], 2, None),
     ([(200, b"not json", {})], 2, None),
-])
-def test_http_sent_request_keeps_the_status_rules(keep_alive, replies, requests, error):
+]
+
+
+@pytest.mark.parametrize(
+    "sent_first, replies, requests, error",
+    [(True, *rule) for rule in STATUS_RULES] + [(False, *rule) for rule in STATUS_RULES],
+    # explicit ids: the sent-first cases keep their long-standing test names
+    ids=[f"replies{i}-{n}-{error}" for i, (_, n, error) in enumerate(STATUS_RULES)]
+    + [f"scored directly-replies{i}" for i in range(len(STATUS_RULES))],
+)
+def test_http_sent_request_keeps_the_status_rules(keep_alive, sent_first, replies, requests,
+                                                   error):
     keep_alive.replies = list(replies)
     bundle, _ = two_bundles()
     scorer = make_scorer(http_cfg(keep_alive.url, max_retries=3, max_in_flight=1))
-    scorer.send(bundle)
+    if sent_first:
+        scorer.send(bundle)
     if error is None:
         assert scorer.score(bundle).chosen == bundle.candidate_order[0]
     else:
@@ -793,11 +807,11 @@ def test_http_failure_while_sending_is_the_first_attempt(keep_alive, monkeypatch
     writes = []
     real_write = scorer._write
 
-    def reset_once(payload):
-        writes.append(payload)
+    def reset_once(prompt):
+        writes.append(prompt)
         if len(writes) == 1:
             raise ConnectionResetError("reset while sending")
-        return real_write(payload)
+        return real_write(prompt)
 
     monkeypatch.setattr(scorer, "_write", reset_once)
     scorer.send(bundle)

@@ -337,18 +337,12 @@ def test_answer_outside_the_scored_set_aborts():
     assert partial.scorer_calls == 2 and len(scored) == 3
 
 
-def test_derive_ranking_incomplete_trace_rejected():
+def test_derive_ranking_incomplete_trace_rejected(keep_alive):
     g, source, candidates = tournament_fixture(4)
-    cfg = ScorerBackendConfig(
-        kind="http_llm",
-        endpoint_url="http://127.0.0.1:9",  # nothing listens on the discard port
-        model_name="m",
-        max_retries=1,
-        backoff=0.0,
-        timeout=0.2,
-        max_in_flight=1,
-    )
-    with pytest.raises(PredictionAborted) as excinfo:
+    keep_alive.replies = [(400, b"unknown model", {})]
+    cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
+                              timeout=5.0, max_in_flight=1)
+    with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
         predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
     partial = excinfo.value.trace
     assert partial.final is None
@@ -508,6 +502,36 @@ def test_predict_closes_a_backend_it_built(keep_alive, monkeypatch):
     predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, shared, DncConfig())
     assert len(closed) == 2  # a backend passed in stays open for its owner
     shared.close()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_aborted_run_is_the_same_sent_ahead_or_scored_directly(keep_alive, monkeypatch, width):
+    g, source, candidates = tournament_fixture(9)
+    dnc = DncConfig(length_limit=3, grouping="sequential")
+
+    def aborted():
+        # set 1 is answered (None: the endpoint names the first candidate); set 2
+        # is retried once, then rejected
+        keep_alive.replies = [None, (503, b"busy", {"Retry-After": "0"}),
+                              (400, b"unknown model", {})]
+        keep_alive.seen.clear()
+        backend = http_backend(keep_alive.url, max_in_flight=width, max_retries=3)
+        with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
+            predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend, dnc)
+        assert backend._sent == {}
+        for _ in range(width):
+            assert backend._gate.acquire(blocking=False)
+        backend.close()
+        return excinfo.value.trace, [body["prompt"] for _, _, body in keep_alive.seen]
+
+    with monkeypatch.context() as patch:
+        patch.delattr(lpnl.scoring.HttpLlmScorer, "send")
+        direct, direct_prompts = aborted()
+    ahead, prompts = aborted()
+    assert ahead == direct and ahead.rounds[0].winners == (candidates[0],)
+    second = build_prompt_text(g, source, candidates[3:6])
+    assert prompts == direct_prompts == [build_prompt_text(g, source, candidates[:3]), second,
+                                         second]
 
 
 def test_threads_sharing_one_backend_keep_one_request_each(keep_alive):
