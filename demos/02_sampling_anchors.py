@@ -34,5 +34,4 @@ print(f"\nexact solve vs forward push, max abs difference: {worst:.2e}")
 anchors = top_k_anchors(g, paper, cfg)
 print(f"\ntop {len(anchors)} anchors for {g.key_of(paper)}:")
 for node_id, score in anchors.entries:
-    node = g.node(node_id)
-    print(f"  {score:.4f}  {node.type.name:<7} {node.text[:60]}")
+    print(f"  {score:.4f}  {g.type_of(node_id).name:<7} {g.text(node_id)[:60]}")

@@ -9,7 +9,9 @@ and a full ranking falls out of the elimination order.
 
 import numpy as np
 
-from lpnl import DncConfig, PromptConfig, SamplerConfig, ScorerBackendConfig, predict
+from lpnl import (
+    DncConfig, PromptConfig, SamplerConfig, ScorerBackendConfig, close_scorer, make_scorer, predict,
+)
 from lpnl.synth import SynthSpec, make_academic_graph
 
 g = make_academic_graph(SynthSpec(n_topics=10, papers_per_topic=80, authors_per_topic=40))
@@ -23,16 +25,21 @@ decoys = [a for a in rng.choice(authors, size=70, replace=False)
 candidates = [int(c) for c in rng.permutation([truth, *decoys])]
 print(f"source {g.key_of(paper)}: 1 true author hidden among {len(candidates)} candidates")
 
-trace = predict(
-    g,
-    paper,
-    "authored_by",
-    candidates,
-    SamplerConfig(hops=2, layer_budget=8, anchor_k=10, rng_seed=0),
-    PromptConfig(),
-    ScorerBackendConfig(kind="lexical_overlap"),
-    DncConfig(length_limit=3, grouping="random_seeded", rng_seed=0),
-)
+# predict takes a built backend, which its caller closes
+scorer = make_scorer(ScorerBackendConfig(kind="lexical_overlap"))
+try:
+    trace = predict(
+        g,
+        paper,
+        "authored_by",
+        candidates,
+        SamplerConfig(hops=2, layer_budget=8, anchor_k=10, rng_seed=0),
+        PromptConfig(),
+        scorer,
+        DncConfig(length_limit=3, grouping="random_seeded", rng_seed=0),
+    )
+finally:
+    close_scorer(scorer)
 
 for i, rnd in enumerate(trace.rounds, start=1):
     print(f"round {i}: {len(rnd.sets)} sets of sizes {sorted(set(len(s) for s in rnd.sets))}")

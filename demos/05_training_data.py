@@ -38,7 +38,8 @@ examples = list(
         counters=counters,
     )
 )
-print("generated:", counters)
+print(f"generated {len(examples)} examples; "
+      f"{counters['skipped_zero_degree']} sources skipped (masked degree 0)")
 
 first = examples[0]
 print("\nexample input:\n" + first.input_text)

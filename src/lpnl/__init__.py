@@ -14,7 +14,6 @@ from .graph import (
     EdgeType,
     GraphFormatError,
     HetGraph,
-    Node,
     NodeType,
     UnknownEdgeTypeError,
     UnknownNodeError,
@@ -50,16 +49,15 @@ from .scoring import (
     ScorerError,
     ScorerResponse,
     TransportError,
+    close_scorer,
     make_scorer,
     resolve_output,
-    score,
 )
 from .tournament import (
     DncConfig,
     PredictionAborted,
     PredictionTrace,
     Round,
-    derive_ranking,
     partition,
     predict,
 )

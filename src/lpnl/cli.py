@@ -342,7 +342,8 @@ def _cmd_gen_train(args, g: HetGraph, cfg: dict) -> int:
             logger.error("leakage audit found %d violations", len(report.violations))
             return 1
         logger.info("leakage audit clean over %d examples", report.examples_scanned)
-    logger.info("wrote %d examples to %s (%s)", count, args.out, counters)
+    logger.info("wrote %d examples to %s (%d sources skipped: masked degree 0)",
+                count, args.out, counters["skipped_zero_degree"])
     return 0
 
 

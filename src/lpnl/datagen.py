@@ -220,7 +220,6 @@ def generate_examples(
     target_pool_set = set(target_pool)
     if counters is not None:
         counters.setdefault("skipped_zero_degree", 0)
-        counters.setdefault("emitted", 0)
 
     emitted = 0
     for edge_index in order:
@@ -255,8 +254,6 @@ def generate_examples(
         alias = bundle.candidate_aliases[position]
         target_text = f"{alias}: {g.text(truth)[:TARGET_TEXT_PREFIX_CHARS]}"
         emitted += 1
-        if counters is not None:
-            counters["emitted"] += 1
         yield TrainingExample(
             input_text=bundle.text,
             target_text=target_text,

@@ -44,7 +44,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "NodeType",
     "EdgeType",
-    "Node",
     "HetGraph",
     "EdgeMask",
     "GraphFormatError",
@@ -93,14 +92,6 @@ class EdgeType:
     name: str
     source_type: str
     target_type: str
-
-
-@dataclass(frozen=True)
-class Node:
-    node_id: int
-    key: str
-    type: NodeType
-    text: str
 
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
@@ -260,10 +251,6 @@ class HetGraph:
     def num_edges(self) -> int:
         # every stored edge has one entry in the row of each endpoint
         return len(self._neighbors) // 2
-
-    def node(self, v: int) -> Node:
-        self._check_node(v)
-        return Node(node_id=v, key=self.keys[v], type=self._type_of[v], text=self._texts[v])
 
     def text(self, v: int) -> str:
         self._check_node(v)
@@ -544,8 +531,7 @@ def save_graph(g: HetGraph, node_file: str, edge_file: str, schema_file: str) ->
         fh.write("\n")
     with open(node_file, "w", encoding="utf-8") as fh:
         for v in range(len(g)):
-            node = g.node(v)
-            fh.write(f"{node.key}\t{node.type.name}\t{_escape_field(node.text)}\n")
+            fh.write(f"{g.keys[v]}\t{g.type_of(v).name}\t{_escape_field(g.text(v))}\n")
     with open(edge_file, "w", encoding="utf-8") as fh:
         for t_name in g.edge_types:
             for u, v in g.edges_of_type(t_name):

@@ -123,9 +123,6 @@ class AnchorList:
     entries: tuple[tuple[int, float], ...]
     center_score: float = 0.0
 
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -56,7 +56,6 @@ __all__ = [
     "ResponseCache",
     "make_scorer",
     "close_scorer",
-    "score",
     "resolve_output",
 ]
 
@@ -209,12 +208,17 @@ class ResponseCache:
     load, while the hashed prompt text fixes what the answer resolves to.
     Corrupt lines and lines without a string ``raw_output`` are skipped
     with a warning.
+
+    The first :meth:`store` opens one unbuffered append handle, kept until
+    :meth:`close`, and ends a last line that a crash left without its
+    newline; each record then goes out in one write.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        self._fh = None
         self._load()
 
     def _load(self) -> None:
@@ -248,10 +252,34 @@ class ResponseCache:
             "raw_output": response.raw_output,
             "resolution": response.resolution,
         }
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             self._entries[key] = record
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            if self._fh is None:
+                self._fh = self._open_for_append()
+            self._fh.write(line)
+
+    def _open_for_append(self):
+        """An unbuffered append handle; ends a last line a crash left unterminated,
+        which the next record would otherwise join."""
+        fh = open(self.path, "a+b", buffering=0)
+        try:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+        except BaseException:
+            fh.close()
+            raise
+        return fh
+
+    def close(self) -> None:
+        """Close the append handle; a later :meth:`store` opens it again."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 # -- backends -----------------------------------------------------------------
@@ -522,7 +550,8 @@ class HttpLlmScorer:
             self._gate.release()
 
     def close(self) -> None:
-        """Close the idle connections and every started request no score read.
+        """Close the idle connections, every started request no score read
+        and the cache's append handle.
 
         Frees the gate slots those requests held; a later call opens new
         connections. Call it when no other thread is sending or scoring.
@@ -533,6 +562,8 @@ class HttpLlmScorer:
         idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
+        if self.cache is not None:
+            self.cache.close()
 
     def _connection(self) -> http.client.HTTPConnection:
         """An idle connection the server has not closed, else a new one (connected on use)."""
@@ -617,12 +648,3 @@ def close_scorer(backend) -> None:
     close = getattr(backend, "close", None)
     if close is not None:
         close()
-
-
-def score(bundle: PromptBundle, cfg: ScorerBackendConfig) -> ScorerResponse:
-    """One-off scoring. For repeated calls build the backend once."""
-    backend = make_scorer(cfg)
-    try:
-        return backend.score(bundle)
-    finally:
-        close_scorer(backend)

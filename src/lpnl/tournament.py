@@ -36,7 +36,7 @@ import numpy as np
 from .graph import EdgeMask, EdgeType, HetGraph
 from .prompts import PromptBundle, PromptConfig, build_prompt
 from .sampling import AnchorList, SamplerConfig, _rank_by_score, anchors_for
-from .scoring import ScorerBackendConfig, ScorerError, close_scorer, make_scorer
+from .scoring import ScorerError
 
 __all__ = [
     "DncConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "PredictionAborted",
     "partition",
     "predict",
-    "derive_ranking",
     "RANKING_CONVENTION",
 ]
 
@@ -160,7 +159,7 @@ def predict(
     candidates: Sequence[int],
     sampler_cfg: SamplerConfig,
     prompt_cfg: PromptConfig,
-    scorer_cfg: ScorerBackendConfig,
+    scorer,
     dnc_cfg: DncConfig,
     mask: EdgeMask | None = None,
 ) -> PredictionTrace:
@@ -178,9 +177,9 @@ def predict(
     set already built is scored first, so the trace names the winners of
     a set-by-set run.
 
-    ``scorer_cfg`` may be a :class:`~lpnl.scoring.ScorerBackendConfig` or an
-    already-built backend, so batch callers can share one instance; a
-    backend built here is closed before returning.
+    ``scorer`` is a built backend (:func:`~lpnl.scoring.make_scorer`), so
+    many predictions can share one connection pool, cache and in-flight
+    ceiling; its caller closes it.
     """
     relation = g.edge_type(relation)
     candidates = [int(c) for c in candidates]
@@ -191,10 +190,6 @@ def predict(
     for v in (source, *candidates):
         g._check_node(v)
 
-    # an already-built backend may be passed in place of the config so many
-    # predictions can share one connection pool, cache and in-flight ceiling
-    built = not hasattr(scorer_cfg, "score")
-    scorer = make_scorer(scorer_cfg) if built else scorer_cfg
     send = getattr(scorer, "send", None)
     anchors: dict[int, AnchorList] = {}
 
@@ -212,34 +207,30 @@ def predict(
     rounds: list[Round] = []
     pool = list(candidates)
     failure: Exception | None = None
-    try:
-        while len(pool) > 1 and failure is None:
-            if not rounds:
-                sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
-            else:
-                sets = partition(pool, dnc_cfg.length_limit, "sequential")
-            winners: list[int] = []
-            sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
-            try:
-                for members in sets:
-                    try:
-                        bundle = build(members)
-                    finally:
-                        # the previous set's answer, read once this set is built
-                        # or, if building it failed, before that failure counts
-                        if sent is not None:
-                            winners.append(winner(*sent))
-                    sent = (members, bundle)
-                    if send is not None:
-                        send(bundle)
-                winners.append(winner(*sent))
-            except Exception as exc:
-                failure = exc
-            rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
-            pool = winners
-    finally:
-        if built:
-            close_scorer(scorer)
+    while len(pool) > 1 and failure is None:
+        if not rounds:
+            sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
+        else:
+            sets = partition(pool, dnc_cfg.length_limit, "sequential")
+        winners: list[int] = []
+        sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
+        try:
+            for members in sets:
+                try:
+                    bundle = build(members)
+                finally:
+                    # the previous set's answer, read once this set is built
+                    # or, if building it failed, before that failure counts
+                    if sent is not None:
+                        winners.append(winner(*sent))
+                sent = (members, bundle)
+                if send is not None:
+                    send(bundle)
+            winners.append(winner(*sent))
+        except Exception as exc:
+            failure = exc
+        rounds.append(Round(tuple(map(tuple, sets)), tuple(winners)))
+        pool = winners
 
     # a lone candidate meets no set, and an aborted run may stop before some
     anchors.update(anchors_for(g, [c for c in candidates if c not in anchors], sampler_cfg, mask))
@@ -276,15 +267,3 @@ def _rank(trace: PredictionTrace) -> tuple[int, ...]:
         for round_index in sorted(by_round, reverse=True)
         for c, _ in _rank_by_score(by_round[round_index])
     )
-
-
-def derive_ranking(trace: PredictionTrace) -> tuple[int, ...]:
-    """Order all original candidates by how long they survived.
-
-    Rank 1 is the final winner; candidates eliminated in later rounds
-    outrank those eliminated earlier. This is the artifact's convention
-    for turning a single tournament into a ranking (see module docstring).
-    """
-    if not trace.complete:
-        raise ValueError("cannot derive a ranking from an incomplete trace")
-    return trace.ranking

@@ -19,6 +19,7 @@ import numpy as np
 
 from lpnl.graph import EdgeType, HetGraph, NodeType
 from lpnl.sampling import EgoSubgraph
+from lpnl.scoring import close_scorer, make_scorer
 
 
 def toy_schema() -> tuple[list[NodeType], list[EdgeType]]:
@@ -336,3 +337,22 @@ def serving(server):
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+# -- scorer backends ---------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def built(cfg):
+    """The backend ``cfg`` selects, closed when the ``with`` block exits."""
+    backend = make_scorer(cfg)
+    try:
+        yield backend
+    finally:
+        close_scorer(backend)
+
+
+def score_once(bundle, cfg):
+    """Build the backend ``cfg`` selects, score ``bundle`` with it, close it."""
+    with built(cfg) as backend:
+        return backend.score(bundle)

@@ -75,16 +75,17 @@ def test_criterion_1_tournament_arithmetic():
             edges.append((f"c{i}", f"f{i % 5}", "expert_in"))
         g = HetGraph(node_types, edge_types, nodes, edges)
         candidates = [g.id_of(f"c{i}") for i in range(100)]
-        scorer = ScorerBackendConfig(kind="fixed_index", fixed_index=0, max_in_flight=1)
-        started = time.perf_counter()
-        trace = predict(
-            g, g.id_of("s"), "authored_by", candidates,
-            SamplerConfig(hops=1, layer_budget=8, anchor_k=5),
-            PromptConfig(),
-            scorer,
-            DncConfig(length_limit=5, grouping="random_seeded", rng_seed=0),
-        )
-        elapsed = time.perf_counter() - started
+        cfg = ScorerBackendConfig(kind="fixed_index", fixed_index=0, max_in_flight=1)
+        with helpers.built(cfg) as scorer:
+            started = time.perf_counter()
+            trace = predict(
+                g, g.id_of("s"), "authored_by", candidates,
+                SamplerConfig(hops=1, layer_budget=8, anchor_k=5),
+                PromptConfig(),
+                scorer,
+                DncConfig(length_limit=5, grouping="random_seeded", rng_seed=0),
+            )
+            elapsed = time.perf_counter() - started
         assert len(trace.rounds[0].sets) == 20
         assert len(trace.rounds) == 3
         assert trace.scorer_calls == 25
@@ -262,19 +263,20 @@ def test_criterion_4_tournament_soundness():
         for n in range(1, 31):
             pool = all_candidates[:n]
             target = pool[(n * 7) % n]
-            scorer = ScorerBackendConfig(
+            cfg = ScorerBackendConfig(
                 kind="oracle_truth",
                 truth_pairs=frozenset({(source, target)}),
                 max_in_flight=1,
             )
-            for limit in (2, 3, 5):
-                for grouping in ("sequential", "random_seeded"):
-                    for seed in (0, 1):
-                        trace = predict(
-                            g, source, "authored_by", pool, fast, prompt_cfg,
-                            scorer, DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed),
-                        )
-                        assert trace.final == target
+            with helpers.built(cfg) as scorer:
+                for limit in (2, 3, 5):
+                    for grouping in ("sequential", "random_seeded"):
+                        for seed in (0, 1):
+                            dnc = DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed)
+                            trace = predict(
+                                g, source, "authored_by", pool, fast, prompt_cfg, scorer, dnc,
+                            )
+                            assert trace.final == target
 
         # benchmark equivalence on the bundled synthetic graph
         synth = make_academic_graph()

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import helpers
-from lpnl import scoring
+from lpnl import cli, scoring
 from lpnl.cli import main
+from lpnl.datagen import LeakageReport
 from lpnl.graph import EdgeType, HetGraph, NodeType, save_graph
 from lpnl.prompts import parse_prompt
 
@@ -96,6 +97,24 @@ def test_prompt_subcommand(cli_graph, tmp_path):
         assert record["token_count"] <= 1024
         assert len(record["candidates"]) == 4
         assert record["text"].count("\n") == 1 + len(record["candidates"])  # q + src + cands
+
+
+def test_prompt_over_budget_writes_an_error_record_and_exits_1(cli_graph, tmp_path):
+    g, flags = cli_graph
+    authors = [g.key_of(a) for a in g.nodes_of_type("author")]
+    tasks = tmp_path / "tasks.ndjson"
+    # twenty candidates cannot fit 64 tokens even without anchors; two can
+    tasks.write_text("".join(
+        json.dumps({"source_id": "p0", "relation": "authored_by", "candidate_ids": ids}) + "\n"
+        for ids in (authors[:20], authors[:2])
+    ))
+    out = str(tmp_path / "prompts.ndjson")
+    code = main(flags + ["prompt", "--tasks", str(tasks), "--hops", "1", "--k", "2",
+                         "--token-budget", "64", "--out", out])
+    assert code == 1
+    failed, rendered = read_ndjson(out)
+    assert failed["source"] == "p0" and "64" in failed["error"]
+    assert rendered["candidates"] == authors[:2] and rendered["token_count"] <= 64
 
 
 def test_score_subcommand(cli_graph, tmp_path):
@@ -248,6 +267,43 @@ def test_gen_train_subcommand(cli_graph, tmp_path):
         assert {"input", "target", "meta"} <= set(record)
         assert record["meta"]["truth_position"] in (0, 1, 2)
         g.id_of(record["meta"]["source_id"])
+
+
+def test_gen_train_split_keeps_only_that_splits_edges(cli_graph, tmp_path):
+    g, flags = cli_graph
+    papers = [g.key_of(p) for p in g.nodes_of_type("paper")]
+    # the first ten papers fall in "train" (below 2015), the rest in "test"
+    attrs = tmp_path / "years.tsv"
+    attrs.write_text("".join(f"{key}\t{2010 if i < 10 else 2020}\n"
+                             for i, key in enumerate(papers)))
+    out = str(tmp_path / "train.jsonl")
+    code = main(flags + [
+        "gen-train", "--relation", "authored_by", "--num", "12", "--seed", "1",
+        "--candidates-per-example", "3", "--hops", "1", "--k", "2",
+        "--split", "train", "--split-boundaries", "2015,2016", "--attr-file", str(attrs),
+        "--out", out,
+    ])
+    assert code == 0
+    records = read_ndjson(out)
+    assert len(records) == 12
+    assert {record["meta"]["source_id"] for record in records} <= set(papers[:10])
+
+
+def test_gen_train_audit_violation_exits_1(cli_graph, tmp_path, monkeypatch, caplog):
+    _, flags = cli_graph
+
+    def leaky(examples, g):
+        return LeakageReport(examples_scanned=len(examples), violations=({"index": 0},))
+
+    monkeypatch.setattr(cli, "leakage_audit", leaky)
+    out = str(tmp_path / "train.jsonl")
+    code = main(flags + [
+        "gen-train", "--relation", "authored_by", "--num", "4", "--seed", "1",
+        "--candidates-per-example", "3", "--hops", "1", "--k", "2", "--audit", "--out", out,
+    ])
+    assert code == 1
+    assert "leakage audit found 1 violations" in caplog.text
+    assert len(read_ndjson(out)) == 4  # written before the audit
 
 
 def test_eval_subcommand_oracle(cli_graph, tmp_path, capsys):

@@ -231,7 +231,7 @@ def _assert_scores_close(scores, ref_scores, context):
 
 def _assert_anchors_close(anchors, expected, context):
     assert anchors.center == expected.center, context
-    assert anchors.ids() == expected.ids(), context
+    assert tuple(v for v, _ in anchors.entries) == tuple(v for v, _ in expected.entries), context
     assert abs(anchors.center_score - expected.center_score) <= SCORE_TOL, context
     for (_, s), (_, ref) in zip(anchors.entries, expected.entries):
         assert abs(s - ref) <= SCORE_TOL, context

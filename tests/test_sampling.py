@@ -277,7 +277,7 @@ def test_anchor_order_on_path():
     g = helpers.path_graph("abc")
     cfg = SamplerConfig(hops=2, layer_budget=16, anchor_k=2)
     anchors = top_k_anchors(g, g.id_of("a"), cfg)
-    assert anchors.ids() == (g.id_of("b"), g.id_of("c"))
+    assert tuple(v for v, _ in anchors.entries) == (g.id_of("b"), g.id_of("c"))
     oracle = helpers.ppr_dense_solve(
         _full_subgraph(g, g.id_of("a")), g.id_of("a"), cfg.alpha
     )
@@ -290,7 +290,7 @@ def test_anchor_scores_non_increasing_and_no_duplicates():
     anchors = top_k_anchors(g, 5, cfg)
     scores = [s for _, s in anchors.entries]
     assert scores == sorted(scores, reverse=True)
-    ids = anchors.ids()
+    ids = tuple(v for v, _ in anchors.entries)
     assert len(set(ids)) == len(ids)
     assert anchors.center not in ids
     assert len(anchors) <= cfg.anchor_k
@@ -323,7 +323,7 @@ def test_structurally_tied_anchors_rank_by_id():
     g = helpers.star_graph(12)
     hub = g.id_of("hub")
     anchors = top_k_anchors(g, hub, SamplerConfig(hops=1, layer_budget=16, anchor_k=12))
-    assert list(anchors.ids()) == sorted(v for v in range(len(g)) if v != hub)
+    assert [v for v, _ in anchors.entries] == sorted(v for v in range(len(g)) if v != hub)
 
 
 def test_default_anchor_k_is_50():

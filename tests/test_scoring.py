@@ -31,7 +31,6 @@ from lpnl.scoring import (
     make_scorer,
     prompt_hash,
     resolve_output,
-    score,
 )
 
 
@@ -51,17 +50,13 @@ def fixture():
     return g, bundle
 
 
-def request_of(bundle):
-    return bundle
-
-
 # -- deterministic backends -----------------------------------------------------
 
 
 def test_fixed_index_zero_picks_first():
     _, bundle = fixture()
     cfg = ScorerBackendConfig(kind="fixed_index", fixed_index=0)
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     assert resp.chosen == bundle.candidate_order[0]
     assert resp.resolution == "exact_match"
 
@@ -69,7 +64,7 @@ def test_fixed_index_zero_picks_first():
 def test_fixed_index_clamps_to_last():
     _, bundle = fixture()
     cfg = ScorerBackendConfig(kind="fixed_index", fixed_index=99)
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     assert resp.chosen == bundle.candidate_order[-1]
 
 
@@ -79,7 +74,7 @@ def test_oracle_truth_picks_true_neighbor():
         kind="oracle_truth",
         truth_pairs=frozenset({(g.id_of("p0"), g.id_of("a1"))}),
     )
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     assert resp.chosen == g.id_of("a1")
     assert resp.resolution == "exact_match"
 
@@ -87,7 +82,7 @@ def test_oracle_truth_picks_true_neighbor():
 def test_oracle_truth_fallback_when_absent():
     g, bundle = fixture()
     cfg = ScorerBackendConfig(kind="oracle_truth", truth_pairs=frozenset())
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     assert resp.chosen == bundle.candidate_order[0]
     assert resp.resolution == "fallback"
 
@@ -95,7 +90,7 @@ def test_oracle_truth_fallback_when_absent():
 def test_lexical_overlap_prefers_shared_vocabulary():
     g, bundle = fixture()
     cfg = ScorerBackendConfig(kind="lexical_overlap")
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     # a0's text shares "entropy methods" with the source description
     assert resp.chosen == g.id_of("a0")
 
@@ -104,8 +99,8 @@ def test_deterministic_backends_stable_across_calls():
     _, bundle = fixture()
     for kind in ("fixed_index", "lexical_overlap"):
         cfg = ScorerBackendConfig(kind=kind)
-        first = score(request_of(bundle), cfg)
-        second = score(request_of(bundle), cfg)
+        first = helpers.score_once(bundle, cfg)
+        second = helpers.score_once(bundle, cfg)
         assert first == second
 
 
@@ -202,6 +197,7 @@ def test_cache_roundtrip_many_entries(tmp_path):
     cache = ResponseCache(path)
     for i in range(10_000):
         cache.store(f"k{i}", "m", ScorerResponse(chosen=i, raw_output=f"out{i}", resolution="exact_match"))
+    cache.close()
     reloaded = ResponseCache(path)
     assert len(reloaded) == 10_000
     for i in (0, 1234, 9999):
@@ -226,6 +222,7 @@ def _append_records(path, tag, barrier):
         # sizes from tens of bytes to past the 8 KiB io buffer
         raw = f"{tag}-{i}:" + "x" * (37 * i % 9000)
         cache.store(f"{tag}{i}", "m", ScorerResponse(chosen=i, raw_output=raw, resolution="exact_match"))
+    cache.close()
 
 
 def test_cache_concurrent_appends_from_two_processes(tmp_path, caplog):
@@ -243,6 +240,9 @@ def test_cache_concurrent_appends_from_two_processes(tmp_path, caplog):
         reloaded = ResponseCache(path)
     assert "corrupt" not in caplog.text
     assert len(reloaded) == 400
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == "" and len(lines) == 401  # 400 whole lines, each ended
     for tag in "ab":
         for i in range(200):
             record = reloaded.lookup(f"{tag}{i}")
@@ -312,7 +312,7 @@ def test_http_backend_resolves_model_output(http_server):
     url, script = http_server
     _, bundle = fixture()
     script.responses = [(200, {"text": bundle.candidate_aliases[1]})]
-    resp = score(request_of(bundle), http_cfg(url))
+    resp = helpers.score_once(bundle, http_cfg(url))
     assert resp.chosen == bundle.candidate_order[1]
     assert resp.resolution == "alias_match"
     sent = script.bodies[0]
@@ -325,7 +325,7 @@ def test_http_backend_retries_on_server_error(http_server):
     url, script = http_server
     _, bundle = fixture()
     script.responses = [(500, {}), (503, {}), (200, {"completion": "a1"})]
-    resp = score(request_of(bundle), http_cfg(url))
+    resp = helpers.score_once(bundle, http_cfg(url))
     assert script.requests_seen == 3
     assert resp.chosen in bundle.candidate_order
 
@@ -335,7 +335,7 @@ def test_http_backend_honours_numeric_retry_after(http_server):
     _, bundle = fixture()
     script.responses = [(429, {}, {"Retry-After": "0.3"}), (200, {"text": bundle.candidate_aliases[1]})]
     start = time.perf_counter()
-    resp = score(request_of(bundle), http_cfg(url))  # backoff 0.01 s
+    resp = helpers.score_once(bundle, http_cfg(url))  # backoff 0.01 s
     assert time.perf_counter() - start >= 0.3
     assert script.requests_seen == 2
     assert resp.chosen == bundle.candidate_order[1]
@@ -365,7 +365,7 @@ def test_http_backoff_is_jittered_and_never_below_retry_after(http_server, monke
     monkeypatch.setattr(time, "sleep", slept.append)
     cfg = http_cfg(url, max_retries=5)
     cfg.backoff = 0.1
-    resp = score(request_of(bundle), cfg)
+    resp = helpers.score_once(bundle, cfg)
     assert resp.chosen == bundle.candidate_order[1]
     assert script.requests_seen == 5 and len(slept) == 4
     for attempt, (delay, jitter, floor) in enumerate(zip(slept, jitters, retry_after)):
@@ -400,7 +400,7 @@ def test_http_backend_gives_up_after_retries(http_server):
     _, bundle = fixture()
     script.responses = [(500, {})]
     with pytest.raises(TransportError):
-        score(request_of(bundle), http_cfg(url, max_retries=2))
+        helpers.score_once(bundle, http_cfg(url, max_retries=2))
     assert script.requests_seen == 2
 
 
@@ -414,15 +414,14 @@ def test_http_cache_bypasses_network(tmp_path, http_server, answer, resolution):
     _, bundle = fixture()
     script.responses = [(200, {"text": answer})]
     cfg = http_cfg(url, cache_path=str(tmp_path / "c.jsonl"))
-    scorer = make_scorer(cfg)
-    first = scorer.score(request_of(bundle))
-    assert first.resolution == resolution
-    second = scorer.score(request_of(bundle))
-    assert script.requests_seen == 1
-    assert first == second
-    # a fresh process (new scorer) reuses the file
-    scorer2 = make_scorer(cfg)
-    third = scorer2.score(request_of(bundle))
+    with helpers.built(cfg) as scorer:
+        first = scorer.score(bundle)
+        assert first.resolution == resolution
+        second = scorer.score(bundle)
+        assert script.requests_seen == 1
+        assert first == second
+        # a fresh process (new scorer) reuses the file, also while the first holds it open
+        third = helpers.score_once(bundle, cfg)
     assert script.requests_seen == 1
     assert third == first
 
@@ -447,11 +446,11 @@ def test_http_cache_replay_survives_reordered_node_file(tmp_path, http_server):
     ]
     cfg = http_cfg(url, cache_path=str(tmp_path / "c.jsonl"))
     g, bundle = _toy_bundle(nodes)
-    cold = make_scorer(cfg).score(bundle)
+    cold = helpers.score_once(bundle, cfg)
     assert (g.key_of(cold.chosen), cold.resolution) == ("p2", "alias_match")
     swapped_g, swapped = _toy_bundle([nodes[1], nodes[0], *nodes[2:]])
     assert swapped.text == bundle.text
-    replay = make_scorer(cfg).score(swapped)
+    replay = helpers.score_once(swapped, cfg)
     assert script.requests_seen == 1
     assert (swapped_g.key_of(replay.chosen), replay.resolution) == ("p2", "alias_match")
 
@@ -468,9 +467,8 @@ def test_http_cache_line_without_raw_text_is_asked_again(tmp_path, http_server, 
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record) + "\n")
     with caplog.at_level(logging.WARNING, logger="lpnl.scoring"):
-        scorer = make_scorer(http_cfg(url, cache_path=str(path)))
+        resp = helpers.score_once(bundle, http_cfg(url, cache_path=str(path)))
     assert "skipping corrupt cache line" in caplog.text
-    resp = scorer.score(bundle)
     assert script.requests_seen == 1
     assert (resp.chosen, resp.resolution) == (bundle.candidate_order[1], "alias_match")
 
@@ -480,13 +478,36 @@ def test_http_cache_skips_fallback_answers(tmp_path, http_server):
     _, bundle = fixture()
     script.responses = [(200, {"text": "%%% @@ ##"})]
     path = tmp_path / "c.jsonl"
-    scorer = make_scorer(http_cfg(url, cache_path=str(path)))
-    first = scorer.score(request_of(bundle))
-    assert first.resolution == "fallback"
-    assert not path.exists() or path.read_text() == ""
-    second = scorer.score(request_of(bundle))
+    with helpers.built(http_cfg(url, cache_path=str(path))) as scorer:
+        first = scorer.score(bundle)
+        assert first.resolution == "fallback"
+        assert not path.exists() or path.read_text() == ""
+        second = scorer.score(bundle)
     assert script.requests_seen == 2
     assert second == first
+
+
+def test_http_cache_appends_after_a_truncated_last_line(tmp_path, http_server, caplog):
+    # a crash mid-write leaves a last line without its newline: the next
+    # record must start a line of its own, not join the broken one
+    url, script = http_server
+    bundle, other = two_bundles()
+    script.responses = [(200, {"text": bundle.candidate_aliases[1]})]
+    path = tmp_path / "c.jsonl"
+    good = {"hash": "h1", "model": "m", "chosen_node_id": 3, "raw_output": "x", "resolution": "exact_match"}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(good)[:20])
+    cfg = http_cfg(url, cache_path=str(path))
+    first = helpers.score_once(bundle, cfg)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lpnl.scoring"):
+        replay = helpers.score_once(bundle, cfg)
+    assert caplog.messages == [f"skipping corrupt cache line {path}:2"]
+    assert script.requests_seen == 1 and replay == first
+    # the file now ends in a newline, and the next record adds none
+    helpers.score_once(other, cfg)
+    lines = path.read_text().split("\n")
+    assert len(lines) == 5 and lines[-1] == "" and "" not in lines[:-1]
+    assert json.loads(lines[0]) == good
 
 
 def test_http_cache_keyed_by_output_cap(tmp_path, http_server):
@@ -495,12 +516,12 @@ def test_http_cache_keyed_by_output_cap(tmp_path, http_server):
     _, bundle = fixture()
     script.responses = [(200, {"text": bundle.candidate_aliases[2]})]
     path = str(tmp_path / "shared.jsonl")
-    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=64)).score(request_of(bundle))
+    helpers.score_once(bundle, http_cfg(url, cache_path=path, max_output_tokens=64))
     assert script.requests_seen == 1
-    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=8)).score(request_of(bundle))
+    helpers.score_once(bundle, http_cfg(url, cache_path=path, max_output_tokens=8))
     assert script.requests_seen == 2
     assert [body["max_output_tokens"] for body in script.bodies] == [64, 8]
-    make_scorer(http_cfg(url, cache_path=path, max_output_tokens=64)).score(request_of(bundle))
+    helpers.score_once(bundle, http_cfg(url, cache_path=path, max_output_tokens=64))
     assert script.requests_seen == 2
 
 
@@ -508,9 +529,9 @@ def test_http_cache_transparent_for_choices(tmp_path, http_server):
     url, script = http_server
     _, bundle = fixture()
     script.responses = [(200, {"text": bundle.candidate_aliases[1]})]
-    plain = score(request_of(bundle), http_cfg(url))
+    plain = helpers.score_once(bundle, http_cfg(url))
     script.responses = [(200, {"text": bundle.candidate_aliases[1]})]
-    cached = score(request_of(bundle), http_cfg(url, cache_path=str(tmp_path / "c2.jsonl")))
+    cached = helpers.score_once(bundle, http_cfg(url, cache_path=str(tmp_path / "c2.jsonl")))
     assert plain.chosen == cached.chosen
 
 
@@ -535,7 +556,7 @@ def test_http_one_attempt_sends_one_request(http_server):
     _, bundle = fixture()
     script.responses = [(500, {})]
     with pytest.raises(TransportError):
-        score(request_of(bundle), http_cfg(url, max_retries=1))
+        helpers.score_once(bundle, http_cfg(url, max_retries=1))
     assert script.requests_seen == 1
 
 
@@ -543,7 +564,7 @@ def test_openai_style_response_shapes(http_server):
     url, script = http_server
     _, bundle = fixture()
     script.responses = [(200, {"choices": [{"message": {"content": bundle.candidate_aliases[0]}}]})]
-    resp = score(request_of(bundle), http_cfg(url))
+    resp = helpers.score_once(bundle, http_cfg(url))
     assert resp.chosen == bundle.candidate_order[0]
 
 
@@ -610,7 +631,7 @@ def test_http_rejected_status_sends_one_request(keep_alive, status, headers, exp
     keep_alive.replies = [(status, b"bad prompt \xff", headers)]
     _, bundle = fixture()
     with pytest.raises(ScorerError, match=expected) as excinfo:
-        score(bundle, http_cfg(keep_alive.url, max_retries=3))
+        helpers.score_once(bundle, http_cfg(keep_alive.url, max_retries=3))
     assert not isinstance(excinfo.value, TransportError)
     assert "�" in str(excinfo.value)  # undecodable bytes replaced, not raised
     assert len(keep_alive.seen) == 1
@@ -619,17 +640,17 @@ def test_http_rejected_status_sends_one_request(keep_alive, status, headers, exp
 def test_http_non_json_success_is_retried(keep_alive):
     keep_alive.replies = [(200, b"<html>upstream busy</html>", {})]
     _, bundle = fixture()
-    resp = score(bundle, http_cfg(keep_alive.url, max_retries=2))
+    resp = helpers.score_once(bundle, http_cfg(keep_alive.url, max_retries=2))
     assert resp.chosen == bundle.candidate_order[0]
     assert len(keep_alive.seen) == 2
     keep_alive.replies = [(200, b"not json", {})]
     with pytest.raises(TransportError, match="not JSON"):
-        score(bundle, http_cfg(keep_alive.url, max_retries=1))
+        helpers.score_once(bundle, http_cfg(keep_alive.url, max_retries=1))
 
 
 def test_http_request_line_and_body(keep_alive):
     _, bundle = fixture()
-    score(bundle, http_cfg(keep_alive.url))
+    helpers.score_once(bundle, http_cfg(keep_alive.url))
     path, headers, body = keep_alive.seen[0]
     assert path == "/v1/complete?mode=test"
     assert headers["Content-Type"] == "application/json"
@@ -640,11 +661,11 @@ def test_http_request_line_and_body(keep_alive):
 def test_http_api_key_from_environment(keep_alive, monkeypatch, caplog):
     _, bundle = fixture()
     monkeypatch.setenv("LPNL_TEST_KEY", "s3cret")
-    score(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
+    helpers.score_once(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
     assert keep_alive.seen[-1][1]["Authorization"] == "Bearer s3cret"
     monkeypatch.delenv("LPNL_TEST_KEY")
     with caplog.at_level(logging.WARNING, logger="lpnl.scoring"):
-        score(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
+        helpers.score_once(bundle, http_cfg(keep_alive.url, api_key_env_var="LPNL_TEST_KEY"))
     assert "LPNL_TEST_KEY is not set" in caplog.text
     assert "Authorization" not in keep_alive.seen[-1][1]
 
@@ -665,14 +686,14 @@ def test_https_verifies_the_server_against_the_trust_store(tmp_path, monkeypatch
     _, bundle = fixture()
     with helpers.serving(helpers.KeepAliveEndpoint(tls)) as server:
         monkeypatch.setenv("SSL_CERT_FILE", str(cert))
-        resp = score(bundle, http_cfg(server.url))
+        resp = helpers.score_once(bundle, http_cfg(server.url))
         assert resp.chosen == bundle.candidate_order[0]
         assert len(server.seen) == 1
         # the self-signed certificate is in no system store
         monkeypatch.delenv("SSL_CERT_FILE")
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
-            score(bundle, http_cfg(server.url, max_retries=1))
+            helpers.score_once(bundle, http_cfg(server.url, max_retries=1))
         assert len(server.seen) == 1
 
 
@@ -832,7 +853,12 @@ def test_http_scoring_another_prompt_closes_the_unread_request(keep_alive, tmp_p
                                   cache_path=str(tmp_path / "c.jsonl")))
 
     def send_then_score_other():
+        seen = len(keep_alive.seen)
         scorer.send(bundle)
+        # the endpoint logs requests from its connection threads in whatever
+        # order they run: let it log this one before another connection opens
+        while len(keep_alive.seen) == seen:
+            time.sleep(0.001)
         # with one slot, this would wait forever on the slot bundle's request holds
         return scorer.score(other)
 

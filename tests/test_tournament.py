@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import helpers
 import lpnl.prompts
 import lpnl.sampling
 import lpnl.scoring
@@ -18,7 +19,6 @@ from lpnl.tournament import (
     PredictionAborted,
     PredictionTrace,
     Round,
-    derive_ranking,
     partition,
     predict,
 )
@@ -133,10 +133,8 @@ def test_round_count_recurrence_matches_simulation():
 def test_predict_round_and_call_arithmetic():
     g, source, candidates = tournament_fixture(100)
     dnc = DncConfig(length_limit=5, grouping="sequential")
-    trace = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[17]), dnc,
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[17])) as oracle:
+        trace = predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc)
     assert len(trace.rounds) == 3
     assert [len(r.sets) for r in trace.rounds] == [20, 4, 1]
     assert trace.scorer_calls == 25
@@ -145,10 +143,10 @@ def test_predict_round_and_call_arithmetic():
 
 def test_predict_single_candidate_no_calls():
     g, source, candidates = tournament_fixture(1)
-    trace = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[0]), DncConfig(),
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[0])) as oracle:
+        trace = predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, DncConfig(),
+        )
     assert trace.scorer_calls == 0
     assert trace.final == candidates[0]
     assert trace.ranking == (candidates[0],)
@@ -156,23 +154,24 @@ def test_predict_single_candidate_no_calls():
 
 def test_predict_rejects_duplicates():
     g, source, candidates = tournament_fixture(3)
-    with pytest.raises(ValueError, match="duplicates"):
-        predict(
-            g, source, "authored_by", [candidates[0], candidates[0]],
-            FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[0]), DncConfig(),
-        )
+    with helpers.built(oracle_cfg(g, source, candidates[0])) as oracle:
+        with pytest.raises(ValueError, match="duplicates"):
+            predict(
+                g, source, "authored_by", [candidates[0], candidates[0]],
+                FAST_SAMPLER, PROMPT, oracle, DncConfig(),
+            )
 
 
 def test_oracle_winner_survives_64_candidates_all_seeds():
     g, source, candidates = tournament_fixture(64)
     truth = candidates[41]
-    for seed in range(12):
-        dnc = DncConfig(length_limit=3, grouping="random_seeded", rng_seed=seed)
-        trace = predict(
-            g, source, "authored_by", candidates,
-            FAST_SAMPLER, PROMPT, oracle_cfg(g, source, truth), dnc,
-        )
-        assert trace.final == truth
+    with helpers.built(oracle_cfg(g, source, truth)) as oracle:
+        for seed in range(12):
+            dnc = DncConfig(length_limit=3, grouping="random_seeded", rng_seed=seed)
+            trace = predict(
+                g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc,
+            )
+            assert trace.final == truth
 
 
 def test_winner_soundness_sweep():
@@ -180,25 +179,23 @@ def test_winner_soundness_sweep():
     for n in (1, 2, 3, 5, 9, 17, 30):
         pool = candidates[:n]
         target = pool[n // 2]
-        for limit in (2, 3, 5):
-            for grouping in ("sequential", "random_seeded"):
-                for seed in (0, 1):
-                    dnc = DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed)
-                    trace = predict(
-                        g, source, "authored_by", pool,
-                        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, target), dnc,
-                    )
-                    assert trace.final == target
-                    assert trace.ranking[0] == target
+        with helpers.built(oracle_cfg(g, source, target)) as oracle:
+            for limit in (2, 3, 5):
+                for grouping in ("sequential", "random_seeded"):
+                    for seed in (0, 1):
+                        dnc = DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed)
+                        trace = predict(
+                            g, source, "authored_by", pool, FAST_SAMPLER, PROMPT, oracle, dnc,
+                        )
+                        assert trace.final == target
+                        assert trace.ranking[0] == target
 
 
 def test_trace_invariants():
     g, source, candidates = tournament_fixture(23)
     dnc = DncConfig(length_limit=3, grouping="random_seeded", rng_seed=4)
-    trace = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[7]), dnc,
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[7])) as oracle:
+        trace = predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc)
     survivors = set(candidates)
     for rnd in trace.rounds:
         covered = [c for s in rnd.sets for c in s]
@@ -214,12 +211,9 @@ def test_trace_invariants():
 def test_derive_ranking_last_round_fills_top_ranks():
     g, source, candidates = tournament_fixture(100)
     dnc = DncConfig(length_limit=5, grouping="sequential")
-    trace = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[0]), dnc,
-    )
-    ranking = derive_ranking(trace)
-    assert ranking == trace.ranking
+    with helpers.built(oracle_cfg(g, source, candidates[0])) as oracle:
+        trace = predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc)
+    ranking = trace.ranking
     assert ranking[0] == trace.final
     last_round_members = {c for s in trace.rounds[-1].sets for c in s}
     assert set(ranking[:4]) == last_round_members
@@ -231,23 +225,21 @@ def test_derive_ranking_last_round_fills_top_ranks():
 
 def test_derive_ranking_two_candidates():
     g, source, candidates = tournament_fixture(2)
-    trace = predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[1]), DncConfig(),
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[1])) as oracle:
+        trace = predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, DncConfig(),
+        )
     assert trace.ranking == (candidates[1], candidates[0])
 
 
 def test_derive_ranking_deterministic_tiebreak():
     g, source, candidates = tournament_fixture(9)
     dnc = DncConfig(length_limit=3, grouping="sequential")
-    traces = [
-        predict(
-            g, source, "authored_by", candidates,
-            FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[0]), dnc,
-        )
-        for _ in range(2)
-    ]
+    with helpers.built(oracle_cfg(g, source, candidates[0])) as oracle:
+        traces = [
+            predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc)
+            for _ in range(2)
+        ]
     assert traces[0].ranking == traces[1].ranking
 
 
@@ -261,9 +253,9 @@ def test_derive_ranking_tie_scores_within_eps_rank_by_id():
         final=13,
         tie_scores={10: 0.5, 11: 0.5 + 0.5 * TIE_EPS, 12: 0.7, 13: 0.1},
     )
-    assert derive_ranking(trace) == (13, 12, 10, 11)
+    assert trace.ranking == (13, 12, 10, 11)
     far = {**trace.tie_scores, 11: 0.5 + 2 * TIE_EPS}
-    assert derive_ranking(replace(trace, tie_scores=far)) == (13, 12, 11, 10)
+    assert replace(trace, tie_scores=far).ranking == (13, 12, 11, 10)
 
 
 def test_trace_derives_ranking_and_scorer_calls():
@@ -281,7 +273,6 @@ def test_trace_derives_ranking_and_scorer_calls():
     assert trace.scorer_calls == 4
     # the winner, then round 2's losers, then round 1's, each by retained mass
     assert trace.ranking == (5, 2, 7, 6, 4, 3, 1)
-    assert derive_ranking(trace) == trace.ranking
 
 
 def test_aborted_trace_counts_recorded_winners():
@@ -342,15 +333,15 @@ def test_derive_ranking_incomplete_trace_rejected(keep_alive):
     keep_alive.replies = [(400, b"unknown model", {})]
     cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
                               timeout=5.0, max_in_flight=1)
-    with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
-        predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
+    with helpers.built(cfg) as backend:
+        with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
+            predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend,
+                    DncConfig())
     partial = excinfo.value.trace
     assert partial.final is None
     assert partial.rounds  # the failed round is recorded with its sets
-    assert partial.ranking == ()
+    assert partial.ranking == ()  # an incomplete trace has no ranking
     assert partial.scorer_calls == sum(len(r.winners) for r in partial.rounds) == 0
-    with pytest.raises(ValueError, match="incomplete"):
-        derive_ranking(partial)
 
 
 def test_anchor_runs_once_per_node(monkeypatch):
@@ -364,11 +355,11 @@ def test_anchor_runs_once_per_node(monkeypatch):
 
     # predict reaches the sampler through lpnl.sampling.anchors_for
     monkeypatch.setattr(lpnl.sampling, "top_k_anchors", counting)
-    predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, PROMPT, oracle_cfg(g, source, candidates[3]),
-        DncConfig(length_limit=2),
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[3])) as oracle:
+        predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle,
+            DncConfig(length_limit=2),
+        )
     assert len(calls) == 1 + len(candidates)
     assert len(set(calls)) == len(calls)
 
@@ -385,11 +376,11 @@ def test_prompts_within_budget_every_round(monkeypatch):
 
     monkeypatch.setattr(lpnl.tournament, "build_prompt", recording)
     prompt_cfg = PromptConfig(token_budget=256)
-    predict(
-        g, source, "authored_by", candidates,
-        FAST_SAMPLER, prompt_cfg, oracle_cfg(g, source, candidates[11]),
-        DncConfig(length_limit=3, grouping="random_seeded", rng_seed=1),
-    )
+    with helpers.built(oracle_cfg(g, source, candidates[11])) as oracle:
+        predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER, prompt_cfg, oracle,
+            DncConfig(length_limit=3, grouping="random_seeded", rng_seed=1),
+        )
     assert seen
     assert all(count <= 256 for count in seen)
 
@@ -480,7 +471,7 @@ def test_sent_set_that_fails_is_the_failure_when_the_next_build_fails(keep_alive
     assert len(keep_alive.seen) == 1
 
 
-def test_predict_closes_a_backend_it_built(keep_alive, monkeypatch):
+def test_predict_leaves_the_backend_open_for_its_caller(keep_alive, monkeypatch):
     closed = []
     real_close = lpnl.scoring.HttpLlmScorer.close
 
@@ -490,18 +481,17 @@ def test_predict_closes_a_backend_it_built(keep_alive, monkeypatch):
 
     monkeypatch.setattr(lpnl.scoring.HttpLlmScorer, "close", recording_close)
     g, source, candidates = tournament_fixture(4)
-    cfg = ScorerBackendConfig(kind="http_llm", endpoint_url=keep_alive.url, model_name="m",
-                              timeout=5.0)
-    predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
-    assert len(closed) == 1
-    keep_alive.replies = [(400, b"no", {})]
-    with pytest.raises(PredictionAborted):
-        predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, cfg, DncConfig())
-    assert len(closed) == 2
-    shared = http_backend(keep_alive.url)
-    predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, shared, DncConfig())
-    assert len(closed) == 2  # a backend passed in stays open for its owner
-    shared.close()
+    backend = http_backend(keep_alive.url)
+    try:
+        predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend, DncConfig())
+        keep_alive.replies = [(400, b"no", {})]
+        with pytest.raises(PredictionAborted):
+            predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend,
+                    DncConfig())
+        assert closed == []  # after a complete and an aborted run alike
+    finally:
+        backend.close()
+    assert closed == [backend]
 
 
 @pytest.mark.parametrize("width", [1, 2, 4])
