@@ -15,16 +15,14 @@ from lpnl.synth import SynthSpec, make_academic_graph
 g = make_academic_graph(SynthSpec(n_topics=10, papers_per_topic=80, authors_per_topic=40))
 print("generated:", g.summary())
 
-workdir = Path(tempfile.mkdtemp(prefix="lpnl_demo_"))
-nodes, edges, schema = (
-    str(workdir / "nodes.tsv"),
-    str(workdir / "edges.tsv"),
-    str(workdir / "schema.json"),
-)
-save_graph(g, nodes, edges, schema)
-print("wrote", nodes, edges, schema)
+with tempfile.TemporaryDirectory(prefix="lpnl_demo_") as workdir:
+    nodes, edges, schema = (
+        str(Path(workdir) / name) for name in ("nodes.tsv", "edges.tsv", "schema.json")
+    )
+    save_graph(g, nodes, edges, schema)
+    print("wrote", nodes, edges, schema)
+    g2 = load_graph(nodes, edges, schema)
 
-g2 = load_graph(nodes, edges, schema)
 assert g2.summary() == g.summary()
 print("reloaded graph matches")
 

@@ -36,7 +36,7 @@ try:
         SamplerConfig(hops=2, layer_budget=8, anchor_k=10, rng_seed=0),
         PromptConfig(),
         scorer,
-        DncConfig(length_limit=3, grouping="random_seeded", rng_seed=0),
+        DncConfig(length_limit=3, grouping="random_seeded"),
     )
 finally:
     close_scorer(scorer)

@@ -53,6 +53,7 @@ report = leakage_audit(examples, g)
 print(f"leakage audit: {report.examples_scanned} scanned, "
       f"{len(report.violations)} violations")
 
-out = Path(tempfile.mkdtemp(prefix="lpnl_demo_")) / "train.jsonl"
-write_examples(str(out), examples, g)
-print("wrote", out)
+with tempfile.TemporaryDirectory(prefix="lpnl_demo_") as workdir:
+    out = Path(workdir) / "train.jsonl"
+    write_examples(str(out), examples, g)
+    print("wrote", out)

@@ -9,76 +9,24 @@ self-supervised from masked true edges; benchmarks report NDCG, MRR and
 Hits@1 over rankings derived from elimination order.
 """
 
-from .graph import (
-    EdgeMask,
-    EdgeType,
-    GraphFormatError,
-    HetGraph,
-    NodeType,
-    UnknownEdgeTypeError,
-    UnknownNodeError,
-    UnknownNodeTypeError,
-    load_graph,
-    normalize_text,
-    save_graph,
-)
-from .sampling import (
-    AnchorList,
-    EgoSubgraph,
-    SamplerConfig,
-    layer_sampling_probs,
-    ppr_approx,
-    ppr_exact,
-    sample_subgraph,
-    top_k_anchors,
-)
-from .prompts import (
-    BudgetUnsatisfiableError,
-    NodeDescription,
-    ParsedPrompt,
-    PromptBundle,
-    PromptConfig,
-    build_prompt,
-    describe_node,
-    estimate_tokens,
-    parse_prompt,
-)
-from .scoring import (
-    ResponseCache,
-    ScorerBackendConfig,
-    ScorerError,
-    ScorerResponse,
-    TransportError,
-    close_scorer,
-    make_scorer,
-    resolve_output,
-)
-from .tournament import (
-    DncConfig,
-    PredictionAborted,
-    PredictionTrace,
-    Round,
-    partition,
-    predict,
-)
-from .datagen import (
-    DatagenConfig,
-    InsufficientEdgesError,
-    LeakageReport,
-    TrainingExample,
-    generate_examples,
-    leakage_audit,
-    read_examples,
-    write_examples,
-)
-from .evaluation import (
-    EvalTask,
-    MetricReport,
-    metric_hits1,
-    metric_mrr,
-    metric_ndcg,
-    read_tasks,
-    run_benchmark,
-)
+from . import datagen, evaluation, graph, prompts, sampling, scoring, tournament
+from .graph import *
+from .sampling import *
+from .prompts import *
+from .scoring import *
+from .tournament import *
+from .datagen import *
+from .evaluation import *
+
+# the layers' exports, in pipeline order; ``cli`` and ``synth`` stay submodules
+__all__ = [
+    *graph.__all__,
+    *sampling.__all__,
+    *prompts.__all__,
+    *scoring.__all__,
+    *tournament.__all__,
+    *datagen.__all__,
+    *evaluation.__all__,
+]
 
 __version__ = "0.1.0"

@@ -91,7 +91,7 @@ _KNOBS = (
     _Knob("--budget", ("sampler.layer_budget",), {"type": int}),
     _Knob("--alpha", ("sampler.alpha",), {"type": float}),
     _Knob("--mode", ("sampler.ppr_mode",), {"choices": PPR_MODES}),
-    _Knob("--seed", ("sampler.rng_seed", "dnc.rng_seed", "datagen.rng_seed"), {"type": int}),
+    _Knob("--seed", ("sampler.rng_seed", "datagen.rng_seed"), {"type": int}),
     _Knob("--token-budget", ("prompt.token_budget",), {"type": int}),
     _Knob("--token-estimator", ("prompt.token_estimator",), {"choices": TOKEN_ESTIMATORS}),
     _Knob("--backend", ("scorer.kind",), {"choices": BACKEND_KINDS}),
@@ -126,17 +126,23 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _section(name: str, config: dict, args):
-    """Config section ``name``: the flags the user set laid over the file's section."""
+def _section(name: str, config: dict, args, g: HetGraph | None = None):
+    """Config section ``name``: the flags the user set laid over the file's section.
+
+    ``g`` maps the raw ids a section names to dense ids; every section but
+    ``graph`` is built with it.
+    """
     cls = _SECTIONS[name]
     values = dict(config.get(name, {}))
     known = {f.name for f in fields(cls)}
     for key in values:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in config section {name!r}")
-    # JSON has no tuples; the scorer looks pairs up in a frozenset
+    # JSON has no tuples; the scorer looks dense-id pairs up in a frozenset
     if values.get("truth_pairs") is not None:
-        values["truth_pairs"] = frozenset(tuple(p) for p in values["truth_pairs"])
+        values["truth_pairs"] = frozenset(
+            (g.id_of(s), g.id_of(t)) for s, t in values["truth_pairs"]
+        )
     for knob in _KNOBS:
         value = getattr(args, knob.dest, None)
         if value is None:
@@ -296,7 +302,7 @@ def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
                 if args.dry_run:
                     anchors = anchors_for(g, (source, *candidates), sampler_cfg)
                     sets = partition(
-                        candidates, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed
+                        candidates, dnc_cfg.length_limit, dnc_cfg.grouping, sampler_cfg.rng_seed
                     )
                     for members in sets:
                         bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
@@ -349,10 +355,7 @@ def _cmd_gen_train(args, g: HetGraph, cfg: dict) -> int:
 
 def _cmd_eval(args, g: HetGraph, cfg: dict) -> int:
     tasks = read_tasks(args.tasks, g)
-    if args.seeds:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-    else:
-        seeds = (cfg["sampler"].rng_seed,)
+    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
     started = time.perf_counter()
     report = run_benchmark(
         tasks, g,
@@ -365,7 +368,8 @@ def _cmd_eval(args, g: HetGraph, cfg: dict) -> int:
     print(report.render_table(), file=sys.stderr)
     print(f"evaluated {len(tasks)} tasks in {elapsed:.2f}s", file=sys.stderr)
     if report.failures:
-        logger.error("%d of %d task runs failed", len(report.failures), len(tasks) * len(seeds))
+        logger.error("%d of %d task runs failed",
+                     len(report.failures), len(tasks) * len(report.seeds))
         return 1
     return 0
 
@@ -438,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         g = _load_graph(config, args)
-        cfg = {name: _section(name, config, args) for name in args.sections}
+        cfg = {name: _section(name, config, args, g) for name in args.sections}
         return args.handler(args, g, cfg)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         logger.error("%s", exc)

@@ -161,13 +161,15 @@ def run_benchmark(
     prompt_cfg: PromptConfig | None = None,
     scorer_cfg: ScorerBackendConfig | None = None,
     dnc_cfg: DncConfig | None = None,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int] | None = None,
 ) -> MetricReport:
     """Predict every task per seed, score the derived rankings, aggregate.
 
-    Each task's truth edge is masked for the whole prediction. The seed
-    of the run replaces the sampler's and the tournament's ``rng_seed``
-    so repeated seeds measure pipeline variance, not scorer variance.
+    Each task's truth edge is masked for the whole prediction. Each seed
+    of the run replaces the sampler's ``rng_seed``, the one seed of a
+    prediction (it also groups the tournament's first round), so repeated
+    seeds measure pipeline variance, not scorer variance. ``seeds``
+    defaults to the sampler's own seed.
     An ``oracle_truth`` scorer config is completed with the tasks' own
     ground truth when no truth pairs were supplied.
 
@@ -181,10 +183,11 @@ def run_benchmark(
     prompt_cfg = prompt_cfg or PromptConfig()
     scorer_cfg = scorer_cfg or ScorerBackendConfig()
     dnc_cfg = dnc_cfg or DncConfig()
+    seeds = (sampler_cfg.rng_seed,) if seeds is None else tuple(seeds)
 
     if not tasks:
         logger.warning("no tasks to evaluate; returning an empty report")
-        return MetricReport(rows=(), seeds=tuple(seeds), tasks=0)
+        return MetricReport(rows=(), seeds=seeds, tasks=0)
 
     if scorer_cfg.kind == "oracle_truth" and not scorer_cfg.truth_pairs:
         scorer_cfg = replace(
@@ -197,8 +200,8 @@ def run_benchmark(
     scorer = make_scorer(scorer_cfg)
     workers = min(getattr(scorer, "max_in_flight", 1), len(tasks))
 
-    def run_task(args: tuple[int, int, SamplerConfig, DncConfig]) -> tuple[dict | None, dict | None]:
-        seed, task_index, seeded_sampler, seeded_dnc = args
+    def run_task(args: tuple[int, int, SamplerConfig]) -> tuple[dict | None, dict | None]:
+        seed, task_index, seeded_sampler = args
         task = tasks[task_index]
         mask = EdgeMask(
             [
@@ -215,7 +218,7 @@ def run_benchmark(
                 seeded_sampler,
                 prompt_cfg,
                 scorer,
-                seeded_dnc,
+                dnc_cfg,
                 mask,
             )
         except Exception as exc:
@@ -241,9 +244,8 @@ def run_benchmark(
     jobs = []
     for seed in seeds:
         seeded_sampler = sampler_cfg.with_seed(seed)
-        seeded_dnc = replace(dnc_cfg, rng_seed=seed)
         for task_index in range(len(tasks)):
-            jobs.append((seed, task_index, seeded_sampler, seeded_dnc))
+            jobs.append((seed, task_index, seeded_sampler))
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -255,7 +257,7 @@ def run_benchmark(
     # outcomes arrive in job order, so reports stay byte-identical across runs
     report = MetricReport(
         rows=tuple(row for row, _ in outcomes if row is not None),
-        seeds=tuple(seeds),
+        seeds=seeds,
         tasks=len(tasks),
         failures=tuple(failure for _, failure in outcomes if failure is not None),
     )

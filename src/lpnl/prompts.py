@@ -276,6 +276,31 @@ def _shrink_schedule(k_source: int, k_cand: int) -> list[tuple[int, int]]:
     ]
 
 
+def _check_task(
+    g: HetGraph, source: int, relation: EdgeType | str, candidates: Sequence[int]
+) -> EdgeType:
+    """Resolve ``relation`` after checking that every node has its end type.
+
+    An unknown id raises :class:`~lpnl.graph.UnknownNodeError`, a wrong type
+    ``ValueError``.
+    """
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    relation = g.edge_type(relation)
+    stype = g.type_of(source).name
+    if stype != relation.source_type:
+        raise ValueError(
+            f"source {source} has type {stype!r}, expected {relation.source_type!r}"
+        )
+    for c in candidates:
+        ctype = g.type_of(c).name
+        if ctype != relation.target_type:
+            raise ValueError(
+                f"candidate {c} has type {ctype!r}, expected {relation.target_type!r}"
+            )
+    return relation
+
+
 def build_prompt(
     source: int,
     relation: EdgeType | str,
@@ -309,20 +334,7 @@ def build_prompt(
     rendering cannot fit, :class:`BudgetUnsatisfiableError` reports its
     token count instead of silently overflowing.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    relation = g.edge_type(relation)
-    stype = g.type_of(source).name
-    if stype != relation.source_type:
-        raise ValueError(
-            f"source {source} has type {stype!r}, expected {relation.source_type!r}"
-        )
-    for c in candidates:
-        ctype = g.type_of(c).name
-        if ctype != relation.target_type:
-            raise ValueError(
-                f"candidate {c} has type {ctype!r}, expected {relation.target_type!r}"
-            )
+    relation = _check_task(g, source, relation, candidates)
     if source not in anchor_source:
         raise KeyError(f"no anchor list supplied for source {source}")
     for c in candidates:

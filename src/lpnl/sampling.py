@@ -52,6 +52,8 @@ class SamplerConfig:
     ``hops`` is capped at 3: beyond that the extra context stops paying
     for its tokens. ``layer_budget`` bounds sampled nodes per node type
     per hop so prompt length stays controllable before ranking even runs.
+    ``rng_seed`` is a prediction's one seed: the tournament's first-round
+    grouping draws from it too.
     """
 
     hops: int = 2

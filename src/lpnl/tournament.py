@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graph import EdgeMask, EdgeType, HetGraph
-from .prompts import PromptBundle, PromptConfig, build_prompt
+from .prompts import PromptBundle, PromptConfig, _check_task, build_prompt
 from .sampling import AnchorList, SamplerConfig, _rank_by_score, anchors_for
 from .scoring import ScorerError
 
@@ -55,19 +55,20 @@ GROUPINGS = ("sequential", "random_seeded")
 
 @dataclass(frozen=True)
 class DncConfig:
-    """Tournament shape: per-set length limit and how the pool is grouped."""
+    """Tournament shape: per-set length limit and how the pool is grouped.
+
+    ``random_seeded`` grouping draws from the sampler's ``rng_seed``, the
+    one seed of a prediction.
+    """
 
     length_limit: int = 3
     grouping: str = "random_seeded"
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.length_limit < 2:
             raise ValueError("length_limit must be >= 2")
         if self.grouping not in GROUPINGS:
             raise ValueError(f"grouping must be one of {GROUPINGS}")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -172,23 +173,21 @@ def predict(
     request ahead: set k+1's anchors and prompt are built while set k's
     request is at the model, then k is scored and k+1 sent. A task so has
     at most one request in flight, and sends its sets in order; a round
-    ends when its last set is scored. Every node id is checked before the
-    first request. Any failure aborts with the partial trace attached; a
-    set already built is scored first, so the trace names the winners of
-    a set-by-set run.
+    ends when its last set is scored. Every node's id, and its type by
+    :func:`~lpnl.prompts.build_prompt`'s rule, is checked before the first
+    request. Round 1 is grouped with ``sampler_cfg.rng_seed``, the
+    prediction's one seed. Any failure aborts with the partial trace
+    attached; a set already built is scored first, so the trace names the
+    winners of a set-by-set run.
 
     ``scorer`` is a built backend (:func:`~lpnl.scoring.make_scorer`), so
     many predictions can share one connection pool, cache and in-flight
     ceiling; its caller closes it.
     """
-    relation = g.edge_type(relation)
     candidates = [int(c) for c in candidates]
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
+    relation = _check_task(g, source, relation, candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidates contain duplicates")
-    for v in (source, *candidates):
-        g._check_node(v)
 
     send = getattr(scorer, "send", None)
     anchors: dict[int, AnchorList] = {}
@@ -209,7 +208,7 @@ def predict(
     failure: Exception | None = None
     while len(pool) > 1 and failure is None:
         if not rounds:
-            sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, dnc_cfg.rng_seed)
+            sets = partition(pool, dnc_cfg.length_limit, dnc_cfg.grouping, sampler_cfg.rng_seed)
         else:
             sets = partition(pool, dnc_cfg.length_limit, "sequential")
         winners: list[int] = []

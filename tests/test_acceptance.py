@@ -80,10 +80,10 @@ def test_criterion_1_tournament_arithmetic():
             started = time.perf_counter()
             trace = predict(
                 g, g.id_of("s"), "authored_by", candidates,
-                SamplerConfig(hops=1, layer_budget=8, anchor_k=5),
+                SamplerConfig(hops=1, layer_budget=8, anchor_k=5, rng_seed=0),
                 PromptConfig(),
                 scorer,
-                DncConfig(length_limit=5, grouping="random_seeded", rng_seed=0),
+                DncConfig(length_limit=5, grouping="random_seeded"),
             )
             elapsed = time.perf_counter() - started
         assert len(trace.rounds[0].sets) == 20
@@ -272,9 +272,10 @@ def test_criterion_4_tournament_soundness():
                 for limit in (2, 3, 5):
                     for grouping in ("sequential", "random_seeded"):
                         for seed in (0, 1):
-                            dnc = DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed)
+                            dnc = DncConfig(length_limit=limit, grouping=grouping)
                             trace = predict(
-                                g, source, "authored_by", pool, fast, prompt_cfg, scorer, dnc,
+                                g, source, "authored_by", pool, fast.with_seed(seed),
+                                prompt_cfg, scorer, dnc,
                             )
                             assert trace.final == target
 

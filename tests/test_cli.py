@@ -421,6 +421,24 @@ def test_config_file_with_flag_override(cli_graph, tmp_path):
     assert read_json(out2)["hits_at_1"] == 1.0
 
 
+def test_config_truth_pairs_take_raw_ids(cli_graph, tmp_path):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, candidates=6, with_truth=True)
+    records = read_ndjson(tasks)
+    pairs = [[r["source_id"], r["truth_id"]] for r in records]
+    cfg_path = tmp_path / "config.json"
+    out = str(tmp_path / "traces.ndjson")
+    argv = flags + ["--config", str(cfg_path), "predict", "--tasks", tasks,
+                    "--hops", "1", "--k", "2", "--length-limit", "2", "--out", out]
+    cfg_path.write_text(json.dumps({"scorer": {"kind": "oracle_truth", "truth_pairs": pairs}}))
+    assert main(argv) == 0
+    assert [t["final"] for t in read_ndjson(out)] == [r["truth_id"] for r in records]
+    # an id the graph lacks fails like any bad config value
+    pairs.append([records[0]["source_id"], "no-such-author"])
+    cfg_path.write_text(json.dumps({"scorer": {"kind": "oracle_truth", "truth_pairs": pairs}}))
+    assert main(argv) == 1
+
+
 def test_missing_graph_flags_is_usage_error(tmp_path):
     tasks = tmp_path / "t.ndjson"
     tasks.write_text("")

@@ -1,7 +1,9 @@
 """The CLI's knob table against the per-section builders it replaced.
 
 The reference below is the earlier parser and merge code (``_merge`` and
-one builder per config section), kept here as it was, without handlers.
+one builder per config section), kept here without handlers and as it
+was but for two later rules: ``--seed`` no longer sets a ``dnc`` seed,
+and the scorer's ``truth_pairs`` name raw ids that the loaded graph maps.
 Every subcommand is parsed by both, with each knob flag set and unset,
 over config files that leave sections empty, fill every key, or set keys
 the flags override; both must build equal config objects and graph paths,
@@ -18,7 +20,7 @@ import helpers
 from lpnl import cli
 from lpnl.cli import build_parser, main
 from lpnl.datagen import DatagenConfig
-from lpnl.graph import save_graph
+from lpnl.graph import load_graph, save_graph
 from lpnl.prompts import PromptConfig
 from lpnl.sampling import SamplerConfig
 from lpnl.scoring import ScorerBackendConfig
@@ -35,7 +37,7 @@ def _merge(section, overrides):
     return merged
 
 
-def _sampler_config(config, args):
+def _sampler_config(config, args, g):
     section = _merge(
         config.get("sampler", {}),
         {
@@ -50,7 +52,7 @@ def _sampler_config(config, args):
     return SamplerConfig(**section)
 
 
-def _prompt_config(config, args):
+def _prompt_config(config, args, g):
     section = _merge(
         config.get("prompt", {}),
         {
@@ -61,7 +63,7 @@ def _prompt_config(config, args):
     return PromptConfig(**section)
 
 
-def _scorer_config(config, args):
+def _scorer_config(config, args, g):
     section = _merge(
         config.get("scorer", {}),
         {
@@ -78,17 +80,16 @@ def _scorer_config(config, args):
     )
     truth_pairs = section.get("truth_pairs")
     if truth_pairs is not None:
-        section["truth_pairs"] = frozenset(tuple(p) for p in truth_pairs)
+        section["truth_pairs"] = frozenset((g.id_of(s), g.id_of(t)) for s, t in truth_pairs)
     return ScorerBackendConfig(**section)
 
 
-def _dnc_config(config, args):
+def _dnc_config(config, args, g):
     section = _merge(
         config.get("dnc", {}),
         {
             "length_limit": getattr(args, "length_limit", None),
             "grouping": getattr(args, "grouping", None),
-            "rng_seed": getattr(args, "seed", None),
         },
     )
     return DncConfig(**section)
@@ -109,7 +110,7 @@ def _graph_paths(config, args):
     return section["nodes"], section["edges"], section["schema"]
 
 
-def _datagen_config(config, args):
+def _datagen_config(config, args, g):
     section = _merge(
         config.get("datagen", {}),
         {
@@ -215,7 +216,8 @@ def _reference_parser():
     return parser
 
 
-# the config sections each subcommand's handler built, in build order
+# the config sections each subcommand's handler built, in build order;
+# each builder gets the loaded graph
 REFERENCE_SECTIONS = {
     "sample": (("sampler", _sampler_config),),
     "prompt": (("sampler", _sampler_config), ("prompt", _prompt_config)),
@@ -307,8 +309,8 @@ def _configs(graph):
                    "model_name": "cfg-model", "api_key_env_var": "CFG_KEY", "timeout": 9.0,
                    "max_retries": 5, "backoff": 0.5, "cache_path": "cfg-cache.ndjson",
                    "max_in_flight": 6, "max_output_tokens": 32, "fixed_index": 1,
-                   "truth_pairs": [[1, 2], [3, 4]]},
-        "dnc": {"length_limit": 6, "grouping": "random_seeded", "rng_seed": 12},
+                   "truth_pairs": [["p1", "a2"], ["p3", "a4"]]},
+        "dnc": {"length_limit": 6, "grouping": "random_seeded"},
         "datagen": {"relation": "authored_by", "num_examples": 9,
                     "candidates_per_example": 5, "negative_policy": "random_same_type",
                     "rng_seed": 13, "split": "train", "split_boundaries": [2001, 2002]},
@@ -318,7 +320,7 @@ def _configs(graph):
         "sampler": {"hops": 3, "rng_seed": 21},
         "prompt": {"token_budget": 512},
         "scorer": {"kind": "fixed_index", "fixed_index": 1, "max_in_flight": 2},
-        "dnc": {"length_limit": 5, "rng_seed": 22},
+        "dnc": {"length_limit": 5},
         "datagen": {"negative_policy": "shared_neighbor", "num_examples": 3, "rng_seed": 23},
     }
     return {"none": None, "full": full, "overridden": overridden}
@@ -342,7 +344,8 @@ def _reference(argv, config):
     try:
         args = _reference_parser().parse_args(argv)
         paths = _graph_paths(config, args)
-        built = {name: build(config, args) for name, build in REFERENCE_SECTIONS[args.command]}
+        g = load_graph(*paths)
+        built = {name: build(config, args, g) for name, build in REFERENCE_SECTIONS[args.command]}
     except (SystemExit, ValueError, TypeError, KeyError) as exc:
         return exc
     return args, paths, built
@@ -354,7 +357,8 @@ def _current(argv, config, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(cli, "load_graph", lambda *paths: paths)
             paths = cli._load_graph(config, args)
-        built = {name: cli._section(name, config, args) for name in args.sections}
+        g = load_graph(*paths)
+        built = {name: cli._section(name, config, args, g) for name in args.sections}
     except (SystemExit, ValueError, TypeError, KeyError) as exc:
         return exc
     return args, paths, built
@@ -404,7 +408,7 @@ def test_sections_match_reference(command, graph_files, tmp_path, monkeypatch):
 @pytest.mark.parametrize("section,key", [
     ("graph", "nodez"), ("sampler", "hop"), ("prompt", "segment_separator"),
     ("prompt", "anchor_separator"),
-    ("scorer", "backend"), ("dnc", "limit"), ("datagen", "policy"),
+    ("scorer", "backend"), ("dnc", "limit"), ("dnc", "rng_seed"), ("datagen", "policy"),
 ])
 def test_unknown_config_key_names_section_and_key(section, key, graph_files, tmp_path, caplog):
     config = {section: {key: 1}}

@@ -426,3 +426,21 @@ def test_benchmark_multi_seed_std():
     assert report.seeds == (0, 1, 2)
     assert report.hits_at_1 == 1.0
     assert report.hits_at_1_std == 0.0
+
+
+def test_benchmark_seeds_default_to_the_sampler_seed(monkeypatch):
+    g = helpers.authorship_graph(n_papers=30, seed=2)
+    tasks = make_tasks(g, n_tasks=3, n_candidates=4, seed=1)
+    seen = []
+    real = lpnl.evaluation.predict
+
+    def spy(g, source, relation, candidates, sampler_cfg, *rest):
+        seen.append(sampler_cfg.rng_seed)
+        return real(g, source, relation, candidates, sampler_cfg, *rest)
+
+    monkeypatch.setattr(lpnl.evaluation, "predict", spy)
+    report = run_benchmark(tasks, g, FAST.with_seed(7))
+    assert report.seeds == (7,)
+    assert report.to_dict()["seeds"] == [7]
+    assert seen == [7] * len(tasks)
+    assert run_benchmark([], g, FAST.with_seed(7)).seeds == (7,)

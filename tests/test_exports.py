@@ -13,9 +13,23 @@ EXPORTING = [
 ]
 
 
+LAYERS = ("graph", "sampling", "prompts", "scoring", "tournament", "datagen", "evaluation")
+
+
 def test_the_layer_modules_declare_their_exports():
-    layers = {"graph", "sampling", "prompts", "scoring", "tournament", "datagen", "evaluation"}
-    assert {f"lpnl.{name}" for name in layers} <= set(EXPORTING)
+    assert {f"lpnl.{name}" for name in LAYERS} <= set(EXPORTING)
+
+
+def test_lpnl_exports_exactly_what_its_layers_export():
+    layer_names = [
+        name for layer in LAYERS for name in importlib.import_module(f"lpnl.{layer}").__all__
+    ]
+    assert lpnl.__all__ == layer_names
+    assert len(set(layer_names)) == len(layer_names)
+    from lpnl import EmptyNodeTextError, anchors_for
+
+    assert EmptyNodeTextError is lpnl.prompts.EmptyNodeTextError
+    assert anchors_for is lpnl.sampling.anchors_for
 
 
 @pytest.mark.parametrize("name", EXPORTING)

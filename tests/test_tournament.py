@@ -167,9 +167,10 @@ def test_oracle_winner_survives_64_candidates_all_seeds():
     truth = candidates[41]
     with helpers.built(oracle_cfg(g, source, truth)) as oracle:
         for seed in range(12):
-            dnc = DncConfig(length_limit=3, grouping="random_seeded", rng_seed=seed)
+            dnc = DncConfig(length_limit=3, grouping="random_seeded")
             trace = predict(
-                g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc,
+                g, source, "authored_by", candidates, FAST_SAMPLER.with_seed(seed), PROMPT,
+                oracle, dnc,
             )
             assert trace.final == truth
 
@@ -183,9 +184,10 @@ def test_winner_soundness_sweep():
             for limit in (2, 3, 5):
                 for grouping in ("sequential", "random_seeded"):
                     for seed in (0, 1):
-                        dnc = DncConfig(length_limit=limit, grouping=grouping, rng_seed=seed)
+                        dnc = DncConfig(length_limit=limit, grouping=grouping)
                         trace = predict(
-                            g, source, "authored_by", pool, FAST_SAMPLER, PROMPT, oracle, dnc,
+                            g, source, "authored_by", pool, FAST_SAMPLER.with_seed(seed),
+                            PROMPT, oracle, dnc,
                         )
                         assert trace.final == target
                         assert trace.ranking[0] == target
@@ -193,9 +195,11 @@ def test_winner_soundness_sweep():
 
 def test_trace_invariants():
     g, source, candidates = tournament_fixture(23)
-    dnc = DncConfig(length_limit=3, grouping="random_seeded", rng_seed=4)
+    dnc = DncConfig(length_limit=3, grouping="random_seeded")
     with helpers.built(oracle_cfg(g, source, candidates[7])) as oracle:
-        trace = predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, oracle, dnc)
+        trace = predict(
+            g, source, "authored_by", candidates, FAST_SAMPLER.with_seed(4), PROMPT, oracle, dnc,
+        )
     survivors = set(candidates)
     for rnd in trace.rounds:
         covered = [c for s in rnd.sets for c in s]
@@ -378,8 +382,8 @@ def test_prompts_within_budget_every_round(monkeypatch):
     prompt_cfg = PromptConfig(token_budget=256)
     with helpers.built(oracle_cfg(g, source, candidates[11])) as oracle:
         predict(
-            g, source, "authored_by", candidates, FAST_SAMPLER, prompt_cfg, oracle,
-            DncConfig(length_limit=3, grouping="random_seeded", rng_seed=1),
+            g, source, "authored_by", candidates, FAST_SAMPLER.with_seed(1), prompt_cfg, oracle,
+            DncConfig(length_limit=3, grouping="random_seeded"),
         )
     assert seen
     assert all(count <= 256 for count in seen)
@@ -390,6 +394,24 @@ def test_dnc_config_validation():
         DncConfig(length_limit=1)
     with pytest.raises(ValueError):
         DncConfig(grouping="zigzag")
+
+
+def test_dnc_config_has_no_seed_of_its_own():
+    with pytest.raises(TypeError):
+        DncConfig(rng_seed=1)
+
+
+def test_round_one_is_grouped_with_the_sampler_seed():
+    g, source, candidates = tournament_fixture(9)
+    dnc = DncConfig(length_limit=3, grouping="random_seeded")
+    with helpers.built(oracle_cfg(g, source, candidates[4])) as oracle:
+        for seed in (3, 5):
+            trace = predict(
+                g, source, "authored_by", candidates, FAST_SAMPLER.with_seed(seed), PROMPT,
+                oracle, dnc,
+            )
+            expected = partition(candidates, 3, "random_seeded", seed)
+            assert trace.rounds[0].sets == tuple(map(tuple, expected))
 
 
 # -- one request ahead against http_llm ------------------------------------------
@@ -409,6 +431,19 @@ def test_unknown_candidate_raises_before_any_request(keep_alive):
         predict(
             g, source, "authored_by", [*candidates, len(g)], FAST_SAMPLER, PROMPT, backend,
             DncConfig(length_limit=2, grouping="sequential"),
+        )
+    backend.close()
+    assert keep_alive.seen == [] and keep_alive.connections == 0
+
+
+def test_wrongly_typed_candidate_raises_before_any_request(keep_alive):
+    g, source, candidates = tournament_fixture(6)
+    backend = http_backend(keep_alive.url)
+    # a field among the authors, in the last set, after three sets could have gone out
+    with pytest.raises(ValueError, match="has type 'field', expected 'author'"):
+        predict(
+            g, source, "authored_by", [*candidates, g.id_of("f0")], FAST_SAMPLER, PROMPT,
+            backend, DncConfig(length_limit=2, grouping="sequential"),
         )
     backend.close()
     assert keep_alive.seen == [] and keep_alive.connections == 0
