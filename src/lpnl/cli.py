@@ -34,7 +34,6 @@ from .evaluation import read_tasks, run_benchmark
 from .graph import HetGraph, load_graph
 from .prompts import (
     TOKEN_ESTIMATORS,
-    BudgetUnsatisfiableError,
     PromptBundle,
     PromptConfig,
     build_prompt,
@@ -213,19 +212,25 @@ def _bundle_record(bundle: PromptBundle, g: HetGraph, relation: str) -> dict:
     }
 
 
+# what a bad task raises: an unknown id or relation, a wrongly typed node, a
+# duplicate candidate, a budget that no render fits
+_TASK_ERRORS = (ValueError, KeyError)
+
+
 def _cmd_prompt(args, g: HetGraph, cfg: dict) -> int:
     failed = 0
     with _output(args.out) as out:
         for record in _read_task_records(args.tasks):
-            source = g.id_of(record["source_id"])
-            candidates = [g.id_of(c) for c in record["candidate_ids"]]
-            relation = record["relation"]
-            anchors = anchors_for(g, (source, *candidates), cfg["sampler"])
             try:
+                source = g.id_of(record["source_id"])
+                candidates = [g.id_of(c) for c in record["candidate_ids"]]
+                relation = record["relation"]
+                anchors = anchors_for(g, (source, *candidates), cfg["sampler"])
                 bundle = build_prompt(source, relation, candidates, anchors, g, cfg["prompt"])
-            except BudgetUnsatisfiableError as exc:
+            except _TASK_ERRORS as exc:
                 failed += 1
-                out.write(json.dumps({"source": record["source_id"], "error": str(exc)}) + "\n")
+                error = {"source": record.get("source_id"), "error": str(exc)}
+                out.write(json.dumps(error) + "\n")
                 continue
             out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
     return 1 if failed else 0
@@ -296,29 +301,31 @@ def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
     try:
         with _output(args.out) as out:
             for record in _read_task_records(args.tasks):
-                source = g.id_of(record["source_id"])
-                candidates = [g.id_of(c) for c in record["candidate_ids"]]
-                relation = record["relation"]
-                if args.dry_run:
-                    anchors = anchors_for(g, (source, *candidates), sampler_cfg)
-                    sets = partition(
-                        candidates, dnc_cfg.length_limit, dnc_cfg.grouping, sampler_cfg.rng_seed
-                    )
-                    for members in sets:
-                        bundle = build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                        out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
-                    continue
                 try:
-                    trace = predict(
-                        g, source, relation, candidates,
-                        sampler_cfg, prompt_cfg, scorer, dnc_cfg,
-                    )
+                    source = g.id_of(record["source_id"])
+                    candidates = [g.id_of(c) for c in record["candidate_ids"]]
+                    relation = record["relation"]
+                    if args.dry_run:
+                        anchors = anchors_for(g, (source, *candidates), sampler_cfg)
+                        sets = partition(candidates, dnc_cfg.length_limit, dnc_cfg.grouping,
+                                         sampler_cfg.rng_seed)
+                        # every set is built before the task writes a line
+                        bundles = [
+                            build_prompt(source, relation, members, anchors, g, prompt_cfg)
+                            for members in sets
+                        ]
+                        results = [_bundle_record(b, g, relation) for b in bundles]
+                    else:
+                        trace = predict(g, source, relation, candidates,
+                                        sampler_cfg, prompt_cfg, scorer, dnc_cfg)
+                        results = [_trace_record(trace, g)]
                 except PredictionAborted as exc:
                     status = 1
-                    failed = {"error": str(exc), **_trace_record(exc.trace, g)}
-                    out.write(json.dumps(failed, sort_keys=True) + "\n")
-                    continue
-                out.write(json.dumps(_trace_record(trace, g), sort_keys=True) + "\n")
+                    results = [{"error": str(exc), **_trace_record(exc.trace, g)}]
+                except _TASK_ERRORS as exc:
+                    status = 1
+                    results = [{"source": record.get("source_id"), "error": str(exc)}]
+                out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in results)
     finally:
         close_scorer(scorer)
     return status

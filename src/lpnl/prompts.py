@@ -290,13 +290,13 @@ def _check_task(
     stype = g.type_of(source).name
     if stype != relation.source_type:
         raise ValueError(
-            f"source {source} has type {stype!r}, expected {relation.source_type!r}"
+            f"source {g.key_of(source)!r} has type {stype!r}, expected {relation.source_type!r}"
         )
     for c in candidates:
         ctype = g.type_of(c).name
         if ctype != relation.target_type:
             raise ValueError(
-                f"candidate {c} has type {ctype!r}, expected {relation.target_type!r}"
+                f"candidate {g.key_of(c)!r} has type {ctype!r}, expected {relation.target_type!r}"
             )
     return relation
 

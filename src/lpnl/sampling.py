@@ -5,8 +5,9 @@ each hop the candidate frontier is grouped by node type and at most
 ``layer_budget`` nodes per type are drawn without replacement, with
 probability proportional to squared degree normalized within the type
 group. Normalizing within type keeps low-degree node types from being
-drowned out by high-degree ones. Each hop reads its candidates' degrees
-with one ``degrees`` call and draws every type group from its slice.
+drowned out by high-degree ones. A group that fits the budget joins
+whole: degrees and the law are computed only for a group that draws, and
+the RNG only at a sample's first draw.
 
 Stage 2 scores every sampled node by personalized PageRank restricted
 to the subgraph, walking edges in both directions, and keeps the top-k
@@ -165,8 +166,6 @@ def _draw_without_replacement(
     rng: np.random.Generator, members: list[int], probs: np.ndarray, take: int
 ) -> list[int]:
     # every candidate keeps the edge it was reached by, so no weight is zero
-    if take >= len(members):
-        return list(members)
     picked = rng.choice(len(members), size=take, replace=False, p=probs)
     return [members[i] for i in picked]
 
@@ -181,42 +180,45 @@ def sample_subgraph(
 
     Deterministic for a fixed (graph, center, config, mask): the RNG
     stream is derived from (rng_seed, center), so sampling distinct
-    centers in parallel stays reproducible. Each member's masked row is
-    read once, the last layer's only to build the walk adjacency.
+    centers in parallel stays reproducible. A type group that fits the
+    budget joins its layer whole; only a larger one reads its members'
+    degrees and draws, and the first such group builds the RNG. Each
+    member's masked row is read once, the last layer's only to build the
+    walk adjacency.
     """
     g._check_node(center)
-    rng = np.random.default_rng([cfg.rng_seed, center])
+    type_of = g._type_of  # candidates come from the graph's rows, so every id is known
+    rng: np.random.Generator | None = None
     # masked rows of the center and inner layers; its keys are the nodes sampled so far
     rows: dict[int, list[int]] = {}
     layers: list[tuple[int, ...]] = []
     frontier = [center]
     for _ in range(cfg.hops):
         rows.update((u, g.all_neighbors(u, mask)) for u in frontier)
-        candidates = sorted({w for u in frontier for w in rows[u]} - rows.keys())
-        degrees = g.degrees(candidates, mask)
-        # positions in ``candidates``, so each group stays sorted by id
         by_type: dict[str, list[int]] = {}
-        for i, v in enumerate(candidates):
-            by_type.setdefault(g.type_of(v).name, []).append(i)
+        for v in sorted({w for u in frontier for w in rows[u]} - rows.keys()):
+            by_type.setdefault(type_of[v].name, []).append(v)
         layer: list[int] = []
         for type_name in sorted(by_type):
-            group = by_type[type_name]
-            members = [candidates[i] for i in group]
-            probs = _squared_degree_probs(degrees[group])
-            layer.extend(
-                _draw_without_replacement(rng, members, probs, cfg.layer_budget)
-            )
+            members = by_type[type_name]
+            if len(members) > cfg.layer_budget:
+                if rng is None:
+                    rng = np.random.default_rng([cfg.rng_seed, center])
+                probs = _squared_degree_probs(g.degrees(members, mask))
+                members = _draw_without_replacement(rng, members, probs, cfg.layer_budget)
+            layer.extend(members)
         layer.sort()
         layers.append(tuple(layer))
         frontier = layer
     # positions in ``EgoSubgraph.nodes``
     index = {v: i for i, v in enumerate(chain([center], *layers))}
-    adjacency = tuple(
-        tuple(sorted(index[w] for w in (rows[v] if v in rows else g.all_neighbors(v, mask))
-                     if w in index))
-        for v in index
-    )
-    return EgoSubgraph(center, tuple(layers), adjacency, g, mask)
+    adjacency = []
+    for v in index:
+        row = rows[v] if v in rows else g.all_neighbors(v, mask)
+        neigh = [i for i in map(index.get, row) if i is not None]
+        neigh.sort()
+        adjacency.append(tuple(neigh))
+    return EgoSubgraph(center, tuple(layers), tuple(adjacency), g, mask)
 
 
 def _position(sub: EgoSubgraph, center: int) -> int:

@@ -14,7 +14,7 @@ from lpnl import cli, scoring
 from lpnl.cli import main
 from lpnl.datagen import LeakageReport
 from lpnl.graph import EdgeType, HetGraph, NodeType, save_graph
-from lpnl.prompts import parse_prompt
+from lpnl.prompts import BudgetUnsatisfiableError, parse_prompt
 
 
 @pytest.fixture
@@ -249,6 +249,75 @@ def test_predict_writes_the_aborted_trace_and_exits_1(cli_graph, tmp_path, keep_
     assert aborted["scorer_calls"] == 1
     assert "error" not in completed and completed["final"] == completed["candidates"][0]
     assert len(keep_alive.seen) == 2 + completed["scorer_calls"]
+
+
+# a change that makes a valid task bad, and the error its record names; the
+# error names nodes by raw key
+BAD_TASKS = {
+    "unknown id": (lambda t: {"candidate_ids": [*t["candidate_ids"], "no-such-author"]},
+                   "'no-such-author'"),
+    "wrong type": (lambda t: {"candidate_ids": [*t["candidate_ids"], "p1"]},
+                   "candidate 'p1' has type 'paper', expected 'author'"),
+    "duplicate candidate": (lambda t: {"candidate_ids": [*t["candidate_ids"],
+                                                         t["candidate_ids"][0]]},
+                            "candidates contain duplicates"),
+    "unknown relation": (lambda t: {"relation": "cites"}, "'cites'"),
+}
+TASK_COMMANDS = {
+    "predict": ["predict", "--backend", "lexical_overlap", "--length-limit", "2"],
+    "predict --dry-run": ["predict", "--dry-run", "--length-limit", "2"],
+    "prompt": ["prompt"],
+}
+
+
+def _run_tasks(flags, command, tmp_path, tasks, name):
+    """Run ``command`` over the task records; return its exit code and output records."""
+    path = tmp_path / f"{name}.ndjson"
+    path.write_text("".join(json.dumps(t) + "\n" for t in tasks))
+    out = str(tmp_path / f"{name}.out.ndjson")
+    code = main(flags + [*TASK_COMMANDS[command], "--tasks", str(path),
+                         "--hops", "1", "--k", "2", "--out", out])
+    return code, read_ndjson(out)
+
+
+@pytest.mark.parametrize("command, kind", [
+    (command, kind) for command in TASK_COMMANDS for kind in BAD_TASKS
+    # rendering takes a repeated candidate; only the tournament refuses one
+    if kind != "duplicate candidate" or command == "predict"
+])
+def test_a_bad_task_writes_one_error_record_and_the_next_task_runs(cli_graph, tmp_path,
+                                                                   command, kind):
+    g, flags = cli_graph
+    first, second = read_ndjson(write_tasks(tmp_path, g, n=2, with_truth=False))
+    change, error = BAD_TASKS[kind]
+    code, records = _run_tasks(flags, command, tmp_path, [{**first, **change(first)}, second],
+                               "bad_first")
+    assert code == 1
+    failed, *rest = records
+    assert failed == {"source": first["source_id"], "error": error}
+    assert rest == _run_tasks(flags, command, tmp_path, [second], "alone")[1]
+
+
+def test_predict_dry_run_writes_no_set_of_a_task_whose_later_set_fails(cli_graph, tmp_path,
+                                                                       monkeypatch):
+    g, flags = cli_graph
+    tasks = read_ndjson(write_tasks(tmp_path, g, n=2, with_truth=False))
+    real_build = cli.build_prompt
+    built = []
+
+    def second_set_over_budget(*args):
+        built.append(args)
+        if len(built) == 2:
+            raise BudgetUnsatisfiableError(100, 64)
+        return real_build(*args)
+
+    monkeypatch.setattr(cli, "build_prompt", second_set_over_budget)
+    code, records = _run_tasks(flags, "predict --dry-run", tmp_path, tasks, "dry")
+    assert code == 1
+    failed, *rest = records
+    assert failed == {"source": tasks[0]["source_id"],
+                      "error": "prompt needs at least 100 tokens but the budget is 64"}
+    assert [r["source"] for r in rest] == [tasks[1]["source_id"]] * 2
 
 
 def test_gen_train_subcommand(cli_graph, tmp_path):

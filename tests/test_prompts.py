@@ -142,7 +142,7 @@ def test_build_prompt_source_type_mismatch():
     g = helpers.toy_graph()
     v1 = g.id_of("v1")
     anchors = {v: AnchorList(v, ()) for v in range(len(g))}
-    with pytest.raises(ValueError, match=f"source {v1} has type 'venue', expected 'author'"):
+    with pytest.raises(ValueError, match="source 'v1' has type 'venue', expected 'author'"):
         build_prompt(v1, "writes", [g.id_of("p1"), g.id_of("p2")], anchors, g, PromptConfig())
 
 

@@ -1,8 +1,9 @@
 """The sampler against the per-group stage-1 loop and power-iteration PPR it replaced.
 
-The reference below is the earlier sampler: stage 1 calls
-``layer_sampling_probs`` once per (type, layer) group, turns its dict
-back into an array and draws, then builds the walk adjacency from
+The reference below is the earlier sampler: stage 1 builds its RNG up
+front, calls ``layer_sampling_probs`` once per (type, layer) group, turns
+its dict back into an array and draws with ``Generator.choice`` itself
+when the group exceeds the budget, then builds the walk adjacency from
 ``HetGraph.induced_edges`` triples by indexing and sorting them; stage 2
 rebuilds a ``node -> position`` dict in the walk matrix and in each PPR
 mode, and computes exact PPR by power iteration. Every ``EgoSubgraph`` and every
@@ -11,7 +12,8 @@ PPR is now one linear solve, whose rounding differs from power
 iteration's: its scores must lie within 1e-10 of the reference's at every
 node, in the same node order, and its anchor lists must name the same
 nodes in the same order once the tie rule is applied to the reference
-scores.
+scores. The sampler builds its RNG only at a sample's first drawing
+group, so the cases where that could diverge must be among those checked.
 """
 
 import json
@@ -66,7 +68,11 @@ def _ref_layer_sampling_probs(g, frontier, type_name, mask=None):
     return {v: float(p) for v, p in zip(members, probs)}
 
 
-def _ref_sample_subgraph(g, center, cfg, mask=None):
+def _ref_sample_subgraph(g, center, cfg, mask, draws):
+    """The earlier stage 1, which builds its RNG up front and reads every group's degrees.
+
+    Appends each hop's number of type groups that drew to ``draws``.
+    """
     g._check_node(center)
     rng = np.random.default_rng([cfg.rng_seed, center])
     visited = {center}
@@ -77,16 +83,23 @@ def _ref_sample_subgraph(g, center, cfg, mask=None):
         if not candidates:
             layers.append(())
             frontier = []
+            draws.append(0)
             continue
         by_type = {}
         for v in candidates:
             by_type.setdefault(g.type_of(v).name, []).append(v)
         layer = []
+        drawn = 0
         for type_name in sorted(by_type):
             members = by_type[type_name]
             prob_map = _ref_layer_sampling_probs(g, members, type_name, mask)
             probs = np.array([prob_map[v] for v in members])
-            layer.extend(_draw_without_replacement(rng, members, probs, cfg.layer_budget))
+            if len(members) > cfg.layer_budget:
+                drawn += 1
+                picked = rng.choice(len(members), size=cfg.layer_budget, replace=False, p=probs)
+                members = [members[i] for i in picked]
+            layer.extend(members)
+        draws.append(drawn)
         layer.sort()
         layers.append(tuple(layer))
         visited.update(layer)
@@ -248,8 +261,10 @@ def _incident_mask(g, center, pick):
 
 
 def _assert_matches_reference(g, center, cfg, mask):
+    """Compare both stages with the reference; return its drawing groups per hop."""
     sub = sample_subgraph(g, center, cfg, mask)
-    ref = _ref_sample_subgraph(g, center, cfg, mask)
+    draws = []
+    ref = _ref_sample_subgraph(g, center, cfg, mask, draws)
     assert sub == ref, (center, cfg, mask)
     for mode in PPR_MODES:
         mode_cfg = replace(cfg, ppr_mode=mode)
@@ -264,6 +279,19 @@ def _assert_matches_reference(g, center, cfg, mask):
         else:
             _assert_scores_close(ppr_exact(sub, center, cfg.alpha), ref_scores, context)
             _assert_anchors_close(anchors, expected, context)
+    return tuple(draws)
+
+
+def _assert_reaches_lazy_rng_cases(draws):
+    """Each case where an RNG built at the first drawing group could diverge is met.
+
+    ``draws`` holds the per-hop drawing-group counts of every sample: some
+    sample never draws, some first draws in hop 2 or 3, some hop draws two
+    or more groups.
+    """
+    assert any(sum(d) == 0 for d in draws)
+    assert any(sum(d) and not d[0] for d in draws)
+    assert any(max(d, default=0) >= 2 for d in draws)
 
 
 @pytest.fixture(scope="module")
@@ -285,12 +313,14 @@ def test_synth_centers_match_reference(synth_graph):
     for type_name in sorted(g.node_types):
         pool = g.nodes_of_type(type_name)
         centers += [int(v) for v in rng.choice(pool, size=min(90, len(pool)), replace=False)]
+    draws = []
     for i, center in enumerate(centers):
         # hops 1-3 against a tight and the default per-type budget, so many
         # hops draw from several type groups
         cfg = SamplerConfig(hops=1 + i % 3, layer_budget=(4, 16)[i // 3 % 2], anchor_k=20)
         for mask in (None, _incident_mask(g, center, i)):
-            _assert_matches_reference(g, center, cfg, mask)
+            draws.append(_assert_matches_reference(g, center, cfg, mask))
+    _assert_reaches_lazy_rng_cases(draws)
 
 
 def _degree_skew_graph():
@@ -323,13 +353,15 @@ def _degree_skew_graph():
 def test_degree_skew_centers_match_reference():
     g = _degree_skew_graph()
     keys = ["hub", "hv0", "hv5", "lt0", "lt7", "pad0_0", "pad3_41", "pad11_99"]
+    draws = []
     for i, key in enumerate(keys):
         center = g.id_of(key)
         for hops in (1, 2, 3):
             for budget in (3, 8):
                 cfg = SamplerConfig(hops=hops, layer_budget=budget, anchor_k=20)
                 for mask in (None, _incident_mask(g, center, i)):
-                    _assert_matches_reference(g, center, cfg, mask)
+                    draws.append(_assert_matches_reference(g, center, cfg, mask))
+    _assert_reaches_lazy_rng_cases(draws)
 
 
 def test_task_masks_inside_subgraph_match_reference(synth_graph):
@@ -339,6 +371,7 @@ def test_task_masks_inside_subgraph_match_reference(synth_graph):
     # from the center, often in the last layer, whose rows feed only the walk.
     g = synth_graph
     inner = centers = 0
+    draws = []
     for task in make_disambiguation_tasks(g, 12, 6, seed=1):
         source, truth = g.id_of(task["source_id"]), g.id_of(task["truth_id"])
         relation = task["relation"]
@@ -348,11 +381,12 @@ def test_task_masks_inside_subgraph_match_reference(synth_graph):
             centers += 1
             for hops in (2, 3):
                 cfg = SamplerConfig(hops=hops, anchor_k=20)
-                _assert_matches_reference(g, center, cfg, mask)
+                draws.append(_assert_matches_reference(g, center, cfg, mask))
                 members = set(sample_subgraph(g, center, cfg, mask).nodes) - {center}
                 inner += source in members and truth in members
     assert centers >= 100
     assert inner >= 10
+    _assert_reaches_lazy_rng_cases(draws)
 
 
 def _self_loop_parallel_graph():
