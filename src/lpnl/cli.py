@@ -2,7 +2,7 @@
 
     lpnl [--config cfg.json] [graph flags] <subcommand> [flags]
 
-Subcommands: ``sample`` (anchor lists), ``prompt`` (rendered prompts),
+Subcommands: ``sample`` (anchor lists), ``prompt`` (first-round prompts),
 ``score`` (one-off scoring of a prompt file), ``predict`` (tournament
 traces), ``gen-train`` (training corpus), ``eval`` (benchmark report).
 A single JSON config file supplies per-module sections (``graph``,
@@ -36,6 +36,7 @@ from .prompts import (
     TOKEN_ESTIMATORS,
     PromptBundle,
     PromptConfig,
+    _check_task,
     build_prompt,
     parse_prompt,
 )
@@ -218,22 +219,31 @@ _TASK_ERRORS = (ValueError, KeyError)
 
 
 def _cmd_prompt(args, g: HetGraph, cfg: dict) -> int:
-    failed = 0
+    """One record per round-1 set of each task, partitioned as ``predict`` does."""
+    sampler_cfg, prompt_cfg, dnc_cfg = cfg["sampler"], cfg["prompt"], cfg["dnc"]
+    status = 0
     with _output(args.out) as out:
         for record in _read_task_records(args.tasks):
             try:
                 source = g.id_of(record["source_id"])
                 candidates = [g.id_of(c) for c in record["candidate_ids"]]
                 relation = record["relation"]
-                anchors = anchors_for(g, (source, *candidates), cfg["sampler"])
-                bundle = build_prompt(source, relation, candidates, anchors, g, cfg["prompt"])
+                # a repeat may land in two sets, so the whole task is checked
+                _check_task(g, source, relation, candidates)
+                anchors = anchors_for(g, (source, *candidates), sampler_cfg)
+                sets = partition(candidates, dnc_cfg.length_limit, dnc_cfg.grouping,
+                                 sampler_cfg.rng_seed)
+                # every set is built before the task writes a line
+                results = [
+                    _bundle_record(build_prompt(source, relation, members, anchors, g, prompt_cfg),
+                                   g, relation)
+                    for members in sets
+                ]
             except _TASK_ERRORS as exc:
-                failed += 1
-                error = {"source": record.get("source_id"), "error": str(exc)}
-                out.write(json.dumps(error) + "\n")
-                continue
-            out.write(json.dumps(_bundle_record(bundle, g, relation), sort_keys=True) + "\n")
-    return 1 if failed else 0
+                status = 1
+                results = [{"source": record.get("source_id"), "error": str(exc)}]
+            out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in results)
+    return status
 
 
 def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
@@ -294,9 +304,8 @@ def _trace_record(trace, g: HetGraph) -> dict:
 
 
 def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
-    sampler_cfg, prompt_cfg, dnc_cfg = cfg["sampler"], cfg["prompt"], cfg["dnc"]
     # one backend for every task, so its cache and connections load once
-    scorer = None if args.dry_run else make_scorer(cfg["scorer"])
+    scorer = make_scorer(cfg["scorer"])
     status = 0
     try:
         with _output(args.out) as out:
@@ -304,28 +313,16 @@ def _cmd_predict(args, g: HetGraph, cfg: dict) -> int:
                 try:
                     source = g.id_of(record["source_id"])
                     candidates = [g.id_of(c) for c in record["candidate_ids"]]
-                    relation = record["relation"]
-                    if args.dry_run:
-                        anchors = anchors_for(g, (source, *candidates), sampler_cfg)
-                        sets = partition(candidates, dnc_cfg.length_limit, dnc_cfg.grouping,
-                                         sampler_cfg.rng_seed)
-                        # every set is built before the task writes a line
-                        bundles = [
-                            build_prompt(source, relation, members, anchors, g, prompt_cfg)
-                            for members in sets
-                        ]
-                        results = [_bundle_record(b, g, relation) for b in bundles]
-                    else:
-                        trace = predict(g, source, relation, candidates,
-                                        sampler_cfg, prompt_cfg, scorer, dnc_cfg)
-                        results = [_trace_record(trace, g)]
+                    trace = predict(g, source, record["relation"], candidates,
+                                    cfg["sampler"], cfg["prompt"], scorer, cfg["dnc"])
+                    result = _trace_record(trace, g)
                 except PredictionAborted as exc:
                     status = 1
-                    results = [{"error": str(exc), **_trace_record(exc.trace, g)}]
+                    result = {"error": str(exc), **_trace_record(exc.trace, g)}
                 except _TASK_ERRORS as exc:
                     status = 1
-                    results = [{"source": record.get("source_id"), "error": str(exc)}]
-                out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in results)
+                    result = {"source": record.get("source_id"), "error": str(exc)}
+                out.write(json.dumps(result, sort_keys=True) + "\n")
     finally:
         close_scorer(scorer)
     return status
@@ -413,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", action="append", required=True, help="node id (repeatable)")
     p.add_argument("--out")
 
-    p = command("prompt", _cmd_prompt, "render one prompt per task", ("sampler", "prompt"))
+    p = command("prompt", _cmd_prompt, "render the first-round prompts of each task",
+                ("sampler", "prompt", "dnc"))
     p.add_argument("--tasks", required=True, help="ndjson task file")
     p.add_argument("--out")
 
@@ -424,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("predict", _cmd_predict, "run the elimination tournament per task",
                 ("sampler", "prompt", "scorer", "dnc"))
     p.add_argument("--tasks", required=True)
-    p.add_argument("--dry-run", action="store_true",
-                   help="emit first-round prompts without scoring")
     p.add_argument("--out")
 
     p = command("gen-train", _cmd_gen_train, "generate self-supervised training data",

@@ -8,9 +8,12 @@ neighbor. With the truth at rank r of the derived ranking:
     NDCG   = 1 / log2(r + 1)
 
 so Hits@1 <= MRR <= NDCG holds on every report. The benchmark masks the
-truth edge while predicting — mirroring training-data generation — so a
-content-aware scorer cannot be handed the answer through the source's
-anchors.
+truth edge while predicting, so no anchor reaches the source through
+that edge. It does not keep the truth out of the source's anchors: the
+truth may still be reached through other paths and then be rendered on
+the source's line, in front of a content-aware scorer. Only training-data
+generation (:func:`lpnl.datagen.generate_examples`) withholds the truth
+node itself.
 """
 
 from __future__ import annotations

@@ -41,11 +41,9 @@ from .sampling import AnchorList
 
 __all__ = [
     "PromptConfig",
-    "NodeDescription",
     "PromptBundle",
     "BudgetUnsatisfiableError",
     "EmptyNodeTextError",
-    "describe_node",
     "node_label",
     "build_prompt",
     "estimate_tokens",
@@ -115,13 +113,6 @@ class PromptConfig:
             source_alias=source_alias,
             relation=relation.name,
         )
-
-
-@dataclass(frozen=True)
-class NodeDescription:
-    subject: int
-    rendered: str
-    anchors_used: int
 
 
 @dataclass(frozen=True)
@@ -236,28 +227,6 @@ class _AliasAllocator:
         return head
 
 
-def describe_node(
-    v: int,
-    anchors: AnchorList,
-    g: HetGraph,
-    max_anchors: int | None = None,
-) -> NodeDescription:
-    """Render one node with up to ``max_anchors`` of its anchors.
-
-    Anchors keep their ranked order; truncation only ever drops the tail,
-    never reorders.
-    """
-    if anchors.center != v:
-        raise ValueError(f"anchor list belongs to {anchors.center}, not {v}")
-    if max_anchors is None:
-        max_anchors = len(anchors.entries)
-    used = max(0, min(max_anchors, len(anchors.entries)))
-    shown = [a for a, _ in anchors.entries[:used]]
-    labels = _node_labels(g, _alias_prefixes(g), [v, *shown])
-    rendered = _AliasAllocator(labels).describe(v, anchors.entries, used)
-    return NodeDescription(subject=v, rendered=rendered, anchors_used=used)
-
-
 def _shrink_cuts(k: int) -> list[int]:
     """Anchor counts after each cut of ``k`` by ``SHRINK_STEP``, down to 0."""
     return [*range(k - SHRINK_STEP, 0, -SHRINK_STEP), 0] if k > 0 else []
@@ -279,10 +248,11 @@ def _shrink_schedule(k_source: int, k_cand: int) -> list[tuple[int, int]]:
 def _check_task(
     g: HetGraph, source: int, relation: EdgeType | str, candidates: Sequence[int]
 ) -> EdgeType:
-    """Resolve ``relation`` after checking that every node has its end type.
+    """Resolve ``relation`` after checking the task's nodes.
 
-    An unknown id raises :class:`~lpnl.graph.UnknownNodeError`, a wrong type
-    ``ValueError``.
+    Every node must have its end type and no candidate may repeat. An
+    unknown id raises :class:`~lpnl.graph.UnknownNodeError`, a wrong type or
+    a repeat ``ValueError``; a wrong type is reported before a repeat.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
@@ -298,6 +268,8 @@ def _check_task(
             raise ValueError(
                 f"candidate {g.key_of(c)!r} has type {ctype!r}, expected {relation.target_type!r}"
             )
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("candidates contain duplicates")
     return relation
 
 
@@ -332,7 +304,8 @@ def build_prompt(
     may carry fewer anchors than the walk would keep, and the call may
     refuse a prompt that an earlier step would fit. If even the anchor-free
     rendering cannot fit, :class:`BudgetUnsatisfiableError` reports its
-    token count instead of silently overflowing.
+    token count instead of silently overflowing. A wrongly typed node or a
+    repeated candidate raises ``ValueError`` before any render.
     """
     relation = _check_task(g, source, relation, candidates)
     if source not in anchor_source:

@@ -132,9 +132,12 @@ def partition(
     Balanced means set sizes differ by at most one; a trailing 1-element
     set would get a free pass through its round, so slack is spread out.
     ``random_seeded`` shuffles the pool first, ``sequential`` keeps order.
+    ``length_limit`` must be at least 2, as in :class:`DncConfig`.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
+    if length_limit < 2:
+        raise ValueError("length_limit must be >= 2")
     items = list(pool)
     if grouping == "random_seeded":
         rng = np.random.default_rng(seed)
@@ -173,12 +176,12 @@ def predict(
     request ahead: set k+1's anchors and prompt are built while set k's
     request is at the model, then k is scored and k+1 sent. A task so has
     at most one request in flight, and sends its sets in order; a round
-    ends when its last set is scored. Every node's id, and its type by
-    :func:`~lpnl.prompts.build_prompt`'s rule, is checked before the first
-    request. Round 1 is grouped with ``sampler_cfg.rng_seed``, the
-    prediction's one seed. Any failure aborts with the partial trace
-    attached; a set already built is scored first, so the trace names the
-    winners of a set-by-set run.
+    ends when its last set is scored. The task is checked by
+    :func:`~lpnl.prompts.build_prompt`'s rule (ids, types, no repeated
+    candidate) before the first request. Round 1 is grouped with
+    ``sampler_cfg.rng_seed``, the prediction's one seed. Any failure aborts
+    with the partial trace attached; a set already built is scored first,
+    so the trace names the winners of a set-by-set run.
 
     ``scorer`` is a built backend (:func:`~lpnl.scoring.make_scorer`), so
     many predictions can share one connection pool, cache and in-flight
@@ -186,8 +189,6 @@ def predict(
     """
     candidates = [int(c) for c in candidates]
     relation = _check_task(g, source, relation, candidates)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("candidates contain duplicates")
 
     send = getattr(scorer, "send", None)
     anchors: dict[int, AnchorList] = {}

@@ -27,7 +27,6 @@ from lpnl.prompts import (
     BudgetUnsatisfiableError,
     PromptConfig,
     build_prompt,
-    describe_node,
 )
 from lpnl.sampling import (
     AnchorList,
@@ -369,8 +368,11 @@ def test_criterion_6_masking_integrity():
             masked_v = top_k_anchors(g, v, cfg, mask)
             removed_v = top_k_anchors(stripped, v, cfg)
             assert masked_v == removed_v
-            rendered_masked = describe_node(u, masked_u, g).rendered
-            rendered_removed = describe_node(u, removed_u, stripped).rendered
+            bare_v = AnchorList(v, ())
+            rendered_masked = build_prompt(u, t_name, [v], {u: masked_u, v: bare_v}, g,
+                                           prompt_cfg).text
+            rendered_removed = build_prompt(u, t_name, [v], {u: removed_u, v: bare_v},
+                                            stripped, prompt_cfg).text
             assert rendered_masked == rendered_removed
             if i % 10 == 0:
                 target_type = g.edge_type(t_name).target_type

@@ -89,7 +89,8 @@ def test_prompt_subcommand(cli_graph, tmp_path):
     g, flags = cli_graph
     tasks = write_tasks(tmp_path, g, with_truth=False)
     out = str(tmp_path / "prompts.ndjson")
-    code = main(flags + ["prompt", "--tasks", tasks, "--hops", "1", "--k", "2", "--out", out])
+    code = main(flags + ["prompt", "--tasks", tasks, "--hops", "1", "--k", "2",
+                         "--length-limit", "4", "--grouping", "sequential", "--out", out])
     assert code == 0
     records = read_ndjson(out)
     assert len(records) == 3
@@ -110,6 +111,7 @@ def test_prompt_over_budget_writes_an_error_record_and_exits_1(cli_graph, tmp_pa
     ))
     out = str(tmp_path / "prompts.ndjson")
     code = main(flags + ["prompt", "--tasks", str(tasks), "--hops", "1", "--k", "2",
+                         "--length-limit", "20", "--grouping", "sequential",
                          "--token-budget", "64", "--out", out])
     assert code == 1
     failed, rendered = read_ndjson(out)
@@ -174,7 +176,7 @@ def test_score_takes_candidate_texts_from_the_graph(tmp_path, keep_alive):
     assert (choice["chosen"], choice["resolution"]) == ("y", "exact_match")
 
 
-def test_predict_subcommand_and_dry_run(cli_graph, tmp_path):
+def test_predict_subcommand(cli_graph, tmp_path):
     g, flags = cli_graph
     tasks = write_tasks(tmp_path, g, with_truth=False)
     out = str(tmp_path / "traces.ndjson")
@@ -191,16 +193,22 @@ def test_predict_subcommand_and_dry_run(cli_graph, tmp_path):
         assert sorted(trace["ranking"]) == sorted(trace["candidates"])
         assert trace["scorer_calls"] == sum(len(r["sets"]) for r in trace["rounds"])
 
-    dry = str(tmp_path / "dry.ndjson")
-    code = main(flags + [
-        "predict", "--tasks", tasks, "--dry-run",
-        "--hops", "1", "--k", "2", "--length-limit", "2", "--seed", "0",
-        "--out", dry,
-    ])
-    assert code == 0
-    bundles = read_ndjson(dry)
-    assert len(bundles) == 6  # 4 candidates -> 2 sets per task
+
+@pytest.mark.parametrize("grouping", ["sequential", "random_seeded"])
+def test_prompt_writes_the_sets_of_predicts_first_round(cli_graph, tmp_path, grouping):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, candidates=7, with_truth=False)
+    shared = ["--tasks", tasks, "--hops", "1", "--k", "2", "--length-limit", "3",
+              "--grouping", grouping, "--seed", "5"]
+    traces, prompts = str(tmp_path / "traces.ndjson"), str(tmp_path / "prompts.ndjson")
+    assert main(flags + ["predict", *shared, "--backend", "lexical_overlap", "--out", traces]) == 0
+    assert main(flags + ["prompt", *shared, "--out", prompts]) == 0
+    bundles = read_ndjson(prompts)
+    assert len(bundles) == 9  # 7 candidates -> 3 sets per task
     assert all(b["token_count"] <= 1024 for b in bundles)
+    assert [(b["source"], b["candidates"]) for b in bundles] == [
+        (t["source"], members) for t in read_ndjson(traces) for members in t["rounds"][0]["sets"]
+    ]
 
 
 def test_predict_builds_one_backend(cli_graph, tmp_path, monkeypatch, keep_alive):
@@ -265,7 +273,6 @@ BAD_TASKS = {
 }
 TASK_COMMANDS = {
     "predict": ["predict", "--backend", "lexical_overlap", "--length-limit", "2"],
-    "predict --dry-run": ["predict", "--dry-run", "--length-limit", "2"],
     "prompt": ["prompt"],
 }
 
@@ -282,8 +289,6 @@ def _run_tasks(flags, command, tmp_path, tasks, name):
 
 @pytest.mark.parametrize("command, kind", [
     (command, kind) for command in TASK_COMMANDS for kind in BAD_TASKS
-    # rendering takes a repeated candidate; only the tournament refuses one
-    if kind != "duplicate candidate" or command == "predict"
 ])
 def test_a_bad_task_writes_one_error_record_and_the_next_task_runs(cli_graph, tmp_path,
                                                                    command, kind):
@@ -298,8 +303,7 @@ def test_a_bad_task_writes_one_error_record_and_the_next_task_runs(cli_graph, tm
     assert rest == _run_tasks(flags, command, tmp_path, [second], "alone")[1]
 
 
-def test_predict_dry_run_writes_no_set_of_a_task_whose_later_set_fails(cli_graph, tmp_path,
-                                                                       monkeypatch):
+def test_prompt_writes_no_set_of_a_task_whose_later_set_fails(cli_graph, tmp_path, monkeypatch):
     g, flags = cli_graph
     tasks = read_ndjson(write_tasks(tmp_path, g, n=2, with_truth=False))
     real_build = cli.build_prompt
@@ -312,7 +316,7 @@ def test_predict_dry_run_writes_no_set_of_a_task_whose_later_set_fails(cli_graph
         return real_build(*args)
 
     monkeypatch.setattr(cli, "build_prompt", second_set_over_budget)
-    code, records = _run_tasks(flags, "predict --dry-run", tmp_path, tasks, "dry")
+    code, records = _run_tasks(flags, "prompt", tmp_path, tasks, "sets")
     assert code == 1
     failed, *rest = records
     assert failed == {"source": tasks[0]["source_id"],

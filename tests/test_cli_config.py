@@ -2,8 +2,9 @@
 
 The reference below is the earlier parser and merge code (``_merge`` and
 one builder per config section), kept here without handlers and as it
-was but for two later rules: ``--seed`` no longer sets a ``dnc`` seed,
-and the scorer's ``truth_pairs`` name raw ids that the loaded graph maps.
+was but for three later rules: ``--seed`` no longer sets a ``dnc`` seed,
+the scorer's ``truth_pairs`` name raw ids that the loaded graph maps, and
+``prompt`` builds the ``dnc`` section in place of ``predict --dry-run``.
 Every subcommand is parsed by both, with each knob flag set and unset,
 over config files that leave sections empty, fill every key, or set keys
 the flags override; both must build equal config objects and graph paths,
@@ -172,6 +173,8 @@ def _reference_parser():
 
     p = sub.add_parser("prompt")
     p.add_argument("--tasks", required=True)
+    p.add_argument("--length-limit", dest="length_limit", type=int)
+    p.add_argument("--grouping", choices=("sequential", "random_seeded"))
     _add_sampler_flags(p)
     _add_prompt_flags(p)
     p.add_argument("--out")
@@ -183,7 +186,6 @@ def _reference_parser():
 
     p = sub.add_parser("predict")
     p.add_argument("--tasks", required=True)
-    p.add_argument("--dry-run", action="store_true")
     p.add_argument("--length-limit", dest="length_limit", type=int)
     p.add_argument("--grouping", choices=("sequential", "random_seeded"))
     _add_sampler_flags(p)
@@ -220,7 +222,7 @@ def _reference_parser():
 # each builder gets the loaded graph
 REFERENCE_SECTIONS = {
     "sample": (("sampler", _sampler_config),),
-    "prompt": (("sampler", _sampler_config), ("prompt", _prompt_config)),
+    "prompt": (("sampler", _sampler_config), ("prompt", _prompt_config), ("dnc", _dnc_config)),
     "score": (("scorer", _scorer_config),),
     "predict": (("sampler", _sampler_config), ("prompt", _prompt_config),
                 ("scorer", _scorer_config), ("dnc", _dnc_config)),
@@ -445,7 +447,7 @@ def test_help_names_the_config_keys(capsys):
         for knob in cli._KNOBS:
             for key in knob.keys:
                 if key.split(".")[0] in names:
-                    assert key in text, (command, knob.flag, key)
+                    assert key in text, (argv, knob.flag, key)
 
 
 def test_readme_lists_every_knob():

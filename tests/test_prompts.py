@@ -10,7 +10,6 @@ from lpnl.prompts import (
     PromptConfig,
     _shrink_schedule,
     build_prompt,
-    describe_node,
     estimate_tokens,
     parse_prompt,
 )
@@ -73,29 +72,25 @@ def test_estimate_tokens_pluggable():
     assert estimate_tokens("abcd", cfg) == 4
 
 
-def test_describe_node_no_anchors():
+def test_build_prompt_source_without_anchors():
     g, anchors = academic_fixture()
-    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g, max_anchors=0)
-    assert desc.rendered == "p1: kernel methods for lattice models [PA]"
-    assert "is related with" not in desc.rendered
-    assert desc.anchors_used == 0
+    p0, a2 = g.id_of("p0"), g.id_of("a2")
+    anchors[p0] = AnchorList(p0, ())
+    bundle = build_prompt(p0, "authored_by", [a2], anchors, g, PromptConfig())
+    source_line = parse_prompt(bundle.text).source_segment
+    assert source_line == "p1: kernel methods for lattice models [PA]"
+    assert "is related with" not in bundle.text
 
 
-def test_describe_node_rendered_shape_and_order():
+def test_build_prompt_source_line_shape_and_order():
     g, anchors = academic_fixture()
-    desc = describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g)
-    assert desc.rendered == (
+    bundle = build_prompt(g.id_of("p0"), "authored_by", [g.id_of("a2")], anchors, g,
+                          PromptConfig())
+    assert parse_prompt(bundle.text).source_segment == (
         "p1: kernel methods for lattice models [PA] is related with "
         "f1: lattice theory [FD], p2: entropy bounds in sparse regimes [PA], "
         "a1: Bren Holt [AU]"
     )
-    assert desc.anchors_used == 3
-
-
-def test_describe_node_wrong_center_rejected():
-    g, anchors = academic_fixture()
-    with pytest.raises(ValueError, match="belongs to"):
-        describe_node(g.id_of("p1"), anchors[g.id_of("p0")], g)
 
 
 def test_build_prompt_shape_and_order():
@@ -144,6 +139,16 @@ def test_build_prompt_source_type_mismatch():
     anchors = {v: AnchorList(v, ()) for v in range(len(g))}
     with pytest.raises(ValueError, match="source 'v1' has type 'venue', expected 'author'"):
         build_prompt(v1, "writes", [g.id_of("p1"), g.id_of("p2")], anchors, g, PromptConfig())
+
+
+def test_build_prompt_rejects_repeated_candidate():
+    g, anchors = academic_fixture()
+    a0, a1, p1 = g.id_of("a0"), g.id_of("a1"), g.id_of("p1")
+    with pytest.raises(ValueError, match="candidates contain duplicates"):
+        build_prompt(g.id_of("p0"), "authored_by", [a1, a0, a1], anchors, g, PromptConfig())
+    # a task with both faults reports the wrong type
+    with pytest.raises(ValueError, match="candidate 'p1' has type 'paper', expected 'author'"):
+        build_prompt(g.id_of("p0"), "authored_by", [a1, p1, a1], anchors, g, PromptConfig())
 
 
 def test_build_prompt_empty_candidates():
@@ -236,7 +241,7 @@ def test_parse_prompt_rejects_short_text():
         parse_prompt("only one line")
 
 
-def test_describe_node_rejects_empty_text():
+def test_build_prompt_rejects_empty_text():
     # load-time validation rejects empty text, so doctor an instance to
     # exercise the renderer's own guard
     from lpnl.prompts import EmptyNodeTextError
@@ -244,7 +249,7 @@ def test_describe_node_rejects_empty_text():
     g, anchors = academic_fixture()
     g._texts[g.id_of("p0")] = ""
     with pytest.raises(EmptyNodeTextError):
-        describe_node(g.id_of("p0"), anchors[g.id_of("p0")], g)
+        build_prompt(g.id_of("p0"), "authored_by", [g.id_of("a2")], anchors, g, PromptConfig())
 
 
 def test_prompt_config_validation():

@@ -113,6 +113,10 @@ def test_partition_sizes_never_exceed_limit():
 def test_partition_empty_pool_rejected():
     with pytest.raises(ValueError):
         partition([], 3)
+    # a limit below 2 is refused as DncConfig refuses it
+    for limit in (-1, 0):
+        with pytest.raises(ValueError, match="length_limit must be >= 2"):
+            partition([1, 2, 3], limit)
 
 
 def test_round_count_recurrence_matches_simulation():
