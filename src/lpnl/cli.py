@@ -41,7 +41,7 @@ from .prompts import (
     parse_prompt,
 )
 from .sampling import PPR_MODES, SamplerConfig, anchors_for, top_k_anchors
-from .scoring import BACKEND_KINDS, ScorerBackendConfig, close_scorer, make_scorer
+from .scoring import BACKEND_KINDS, ScorerBackendConfig, ScorerError, close_scorer, make_scorer
 from .tournament import GROUPINGS, DncConfig, PredictionAborted, partition, predict
 
 logger = logging.getLogger("lpnl")
@@ -265,24 +265,29 @@ def _rebuild_bundle(record: dict, g: HetGraph) -> PromptBundle:
 
 
 def _cmd_score(args, g: HetGraph, cfg: dict) -> int:
+    """One choice per prompt record; a bad record or a failed call writes an error record."""
     scorer = make_scorer(cfg["scorer"])
+    status = 0
     try:
         with _output(args.out) as out:
             for record in _read_task_records(args.prompts):
                 if "error" in record:
                     continue
-                bundle = _rebuild_bundle(record, g)
-                response = scorer.score(bundle)
-                choice = {
-                    "source": record["source"],
-                    "chosen": g.key_of(response.chosen),
-                    "resolution": response.resolution,
-                    "raw_output": response.raw_output,
-                }
-                out.write(json.dumps(choice, sort_keys=True) + "\n")
+                try:
+                    response = scorer.score(_rebuild_bundle(record, g))
+                    result = {
+                        "source": record["source"],
+                        "chosen": g.key_of(response.chosen),
+                        "resolution": response.resolution,
+                        "raw_output": response.raw_output,
+                    }
+                except (*_TASK_ERRORS, ScorerError) as exc:
+                    status = 1
+                    result = {"source": record.get("source"), "error": str(exc)}
+                out.write(json.dumps(result, sort_keys=True) + "\n")
     finally:
         close_scorer(scorer)
-    return 0
+    return status
 
 
 def _trace_record(trace, g: HetGraph) -> dict:

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, product
+from string import ascii_lowercase
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import EdgeType, HetGraph
@@ -43,7 +45,6 @@ __all__ = [
     "PromptConfig",
     "PromptBundle",
     "BudgetUnsatisfiableError",
-    "EmptyNodeTextError",
     "node_label",
     "build_prompt",
     "estimate_tokens",
@@ -71,12 +72,6 @@ class BudgetUnsatisfiableError(ValueError):
         super().__init__(
             f"prompt needs at least {needed} tokens but the budget is {budget}"
         )
-
-
-class EmptyNodeTextError(ValueError):
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"node {node_id} has no text to render")
 
 
 @dataclass(frozen=True)
@@ -152,20 +147,24 @@ def _alias_prefixes(g: HetGraph) -> dict[str, str]:
     """Shortest unambiguous lowercase prefix per node type name.
 
     Only ASCII letters are kept, because answer resolution splits tokens
-    on anything outside ``[0-9a-z]``; a name with none gets ``"n"``.
+    on anything outside ``[0-9a-z]``; a name with none counts as ``"n"``.
+    A prefix is letters only and no two are equal, so an alias (prefix,
+    then a number) names one node. When every prefix of a name is taken,
+    letters are appended to it (``"na"``, ``"nb"``, ...) until one is free.
     """
     ordered = sorted(g.node_types.values(), key=lambda nt: nt.type_id)
     taken: set[str] = set()
     prefixes: dict[str, str] = {}
     for nt in ordered:
         cleaned = "".join(ch for ch in nt.name.lower() if ch.isascii() and ch.isalpha()) or "n"
-        chosen = None
         for size in range(1, len(cleaned) + 1):
             if cleaned[:size] not in taken:
                 chosen = cleaned[:size]
                 break
-        if chosen is None:
-            chosen = f"{cleaned}{nt.type_id}"
+        else:
+            extended = (cleaned + "".join(letters)
+                        for n in count(1) for letters in product(ascii_lowercase, repeat=n))
+            chosen = next(p for p in extended if p not in taken)
         taken.add(chosen)
         prefixes[nt.name] = chosen
     return prefixes
@@ -182,16 +181,14 @@ def _node_labels(
     """Alias prefix and ``": <text> [<TAG>]"`` label of each node, in order.
 
     Each node is checked once, through the public accessor, in the order
-    given; the first unknown id or empty text raises. The dict lives for
-    one call, so no copy of the graph's text outlives it.
+    given; the first unknown id raises. The dict lives for one call, so no
+    copy of the graph's text outlives it.
     """
     labels: dict[int, tuple[str, str]] = {}
     for v in nodes:
         if v in labels:
             continue
         text = g.text(v)
-        if not text:
-            raise EmptyNodeTextError(v)
         nt = g._type_of[v]
         labels[v] = (prefixes[nt.name], node_label(text, nt.identifier_tag))
     return labels

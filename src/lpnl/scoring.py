@@ -3,8 +3,9 @@
 A backend is any object with ``score(bundle) -> ScorerResponse``, taking
 the :class:`~lpnl.prompts.PromptBundle` that ``build_prompt`` returned.
 ``http_llm`` starts each request (a cache lookup and, on a miss, a write)
-and then reads it; its ``send(bundle)`` only starts one, so that the caller
-can work while the model answers, and ``close()`` closes what it holds.
+and then reads it; its ``send(bundle)`` only starts one and returns the
+bundle to score, so that the caller can work while the model answers, and
+``close()`` closes its idle connections and cache handle.
 
 The production backend calls a remote text-completion endpoint; three
 deterministic local backends exist so the whole pipeline runs (and is
@@ -41,7 +42,7 @@ import socket
 import ssl
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from urllib.parse import urlsplit
 
 from .prompts import PromptBundle, parse_prompt
@@ -354,7 +355,8 @@ class _Started:
     """A started prompt, awaiting its read.
 
     ``hit`` is its cache entry, looked up once. On a miss ``conn`` holds the
-    written request and its gate slot, or ``error`` says why writing failed.
+    written request and its gate slot, or ``error`` says why writing failed;
+    ``read`` once a score has taken it.
     """
 
     key: str
@@ -362,6 +364,14 @@ class _Started:
     hit: dict | None
     conn: http.client.HTTPConnection | None = None
     error: Exception | None = None
+    read: bool = False
+
+
+@dataclass(frozen=True)
+class _SentBundle(PromptBundle):
+    """A bundle whose request :meth:`HttpLlmScorer.send` started."""
+
+    started: _Started = field(compare=False, repr=False)
 
 
 class HttpLlmScorer:
@@ -387,9 +397,9 @@ class HttpLlmScorer:
     Every request is started, then read. Starting hashes the prompt and
     looks it up in the cache once; a miss writes the request under a gate
     slot that the read frees, and each retry writes it again. :meth:`send`
-    starts a prompt so the caller can work while the model answers; the
-    thread's next :meth:`score` of it reads it, and sending or scoring
-    another prompt closes it unread, as :meth:`close` does.
+    starts a prompt so the caller can work while the model answers, and
+    returns the bundle whose :meth:`score` reads it; the scorer keeps no
+    record of what was sent.
 
     Fresh and cached answers alike go through :func:`resolve_output`.
     Answers that resolve only by ``fallback`` are not cached, so a later
@@ -409,8 +419,6 @@ class HttpLlmScorer:
         # idle keep-alive connections; list.append and list.pop are atomic,
         # and only callers holding the gate touch it
         self._idle: list[http.client.HTTPConnection] = []
-        # the prompt each thread's send started and no score has read, by thread id
-        self._sent: dict[int, _Started] = {}
         if cfg.api_key_env_var:
             key = os.environ.get(cfg.api_key_env_var)
             if key:
@@ -421,22 +429,21 @@ class HttpLlmScorer:
                     cfg.api_key_env_var,
                 )
 
-    def send(self, bundle: PromptBundle) -> None:
-        """Start ``bundle``'s request; this thread's next :meth:`score` of it reads it.
+    def send(self, bundle: PromptBundle) -> PromptBundle:
+        """Start ``bundle``'s request and return the bundle to score in its place.
 
-        A cache hit sends nothing. An unread request this thread started
-        before is closed first.
+        Score each returned bundle once: until then, a miss holds its
+        in-flight slot. A cache hit sends nothing and holds no slot.
         """
-        thread = threading.get_ident()
-        self._discard(self._sent.pop(thread, None))
-        self._sent[thread] = self._start(bundle.text)
+        values = {f.name: getattr(bundle, f.name) for f in fields(PromptBundle)}
+        return _SentBundle(**values, started=self._start(bundle.text))
 
     def score(self, bundle: PromptBundle) -> ScorerResponse:
-        """Read this thread's request started for ``bundle``, else start one and read it."""
-        started = self._sent.pop(threading.get_ident(), None)
-        if started is None or started.prompt != bundle.text:
-            self._discard(started)
+        """Read the request ``bundle`` carries from :meth:`send`, once; else start one."""
+        started = bundle.started if isinstance(bundle, _SentBundle) else None
+        if started is None or started.read:
             started = self._start(bundle.text)
+        started.read = True
         hit = started.hit
         raw = hit["raw_output"] if hit is not None else self._complete(started)
         chosen, resolution = resolve_output(raw, bundle)
@@ -543,22 +550,12 @@ class HttpLlmScorer:
             self._gate.release()
         return resp.status, resp.headers, body
 
-    def _discard(self, started: _Started | None) -> None:
-        """Close a started request that will not be read, freeing its gate slot."""
-        if started is not None and started.conn is not None:
-            started.conn.close()
-            self._gate.release()
-
     def close(self) -> None:
-        """Close the idle connections, every started request no score read
-        and the cache's append handle.
+        """Close the idle connections and the cache's append handle.
 
-        Frees the gate slots those requests held; a later call opens new
-        connections. Call it when no other thread is sending or scoring.
+        A later call opens new connections. Call it when no other thread is
+        sending or scoring.
         """
-        sent, self._sent = self._sent, {}
-        for started in sent.values():
-            self._discard(started)
         idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()

@@ -12,9 +12,9 @@ sampler cost is 1 + |candidates| regardless of how many rounds run.
 
 A task keeps at most one scorer request in flight, one request ahead:
 against a backend that can ``send`` (``http_llm``), set k+1 is built while
-set k's request is at the model. Sets are still sent and scored in order;
-concurrency across tasks belongs to the caller
-(:func:`lpnl.evaluation.run_benchmark` fans whole tasks out).
+set k's request is at the model, held by the bundle ``send`` returned.
+Sets are still sent and scored in order; concurrency across tasks belongs
+to the caller (:func:`lpnl.evaluation.run_benchmark` fans whole tasks out).
 
 A full ranking of the original pool is derived from elimination order:
 the later a candidate is eliminated, the better its rank; ties within a
@@ -174,14 +174,14 @@ def predict(
     for its winner; winners re-partition sequentially until one remains.
     Against a backend with ``send`` (``http_llm``) the task keeps one
     request ahead: set k+1's anchors and prompt are built while set k's
-    request is at the model, then k is scored and k+1 sent. A task so has
-    at most one request in flight, and sends its sets in order; a round
-    ends when its last set is scored. The task is checked by
-    :func:`~lpnl.prompts.build_prompt`'s rule (ids, types, no repeated
-    candidate) before the first request. Round 1 is grouped with
-    ``sampler_cfg.rng_seed``, the prediction's one seed. Any failure aborts
-    with the partial trace attached; a set already built is scored first,
-    so the trace names the winners of a set-by-set run.
+    request is at the model, then k is scored (through the bundle ``send``
+    returned) and k+1 sent. A task so has at most one request in flight,
+    and sends its sets in order; a round ends when its last set is scored.
+    The task is checked by :func:`~lpnl.prompts.build_prompt`'s rule (ids,
+    types, no repeated candidate) before the first request. Round 1 is
+    grouped with ``sampler_cfg.rng_seed``, the prediction's one seed. Any
+    failure aborts with the partial trace attached; a set already built is
+    scored first, so the trace names the winners of a set-by-set run.
 
     ``scorer`` is a built backend (:func:`~lpnl.scoring.make_scorer`), so
     many predictions can share one connection pool, cache and in-flight
@@ -190,7 +190,8 @@ def predict(
     candidates = [int(c) for c in candidates]
     relation = _check_task(g, source, relation, candidates)
 
-    send = getattr(scorer, "send", None)
+    # an offline backend has nothing to start ahead of its answer: it scores the bundle itself
+    send = getattr(scorer, "send", lambda bundle: bundle)
     anchors: dict[int, AnchorList] = {}
 
     def build(members: list[int]) -> PromptBundle:
@@ -213,7 +214,7 @@ def predict(
         else:
             sets = partition(pool, dnc_cfg.length_limit, "sequential")
         winners: list[int] = []
-        sent: tuple[list[int], PromptBundle] | None = None  # built and sent, not yet scored
+        sent: tuple[list[int], PromptBundle] | None = None  # sent, not yet scored
         try:
             for members in sets:
                 try:
@@ -223,9 +224,7 @@ def predict(
                     # or, if building it failed, before that failure counts
                     if sent is not None:
                         winners.append(winner(*sent))
-                sent = (members, bundle)
-                if send is not None:
-                    send(bundle)
+                sent = (members, send(bundle))
             winners.append(winner(*sent))
         except Exception as exc:
             failure = exc

@@ -176,6 +176,49 @@ def test_score_takes_candidate_texts_from_the_graph(tmp_path, keep_alive):
     assert (choice["chosen"], choice["resolution"]) == ("y", "exact_match")
 
 
+def test_score_writes_an_error_record_when_the_scorer_fails_and_scores_the_next(
+        cli_graph, tmp_path, keep_alive, capsys):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, n=2, with_truth=False)
+    prompts = str(tmp_path / "prompts.ndjson")
+    assert main(flags + ["prompt", "--tasks", tasks, "--hops", "1", "--k", "2",
+                         "--length-limit", "4", "--grouping", "sequential",
+                         "--out", prompts]) == 0
+    first, second = read_ndjson(prompts)
+    keep_alive.replies = [(400, b"unknown model", {})]
+    out = str(tmp_path / "choices.ndjson")
+    code = main(flags + [
+        "score", "--prompts", prompts, "--backend", "http_llm",
+        "--endpoint-url", keep_alive.url, "--model", "m", "--out", out,
+    ])
+    assert code == 1
+    failed, scored = read_ndjson(out)
+    assert failed == {"source": first["source"],
+                      "error": "request rejected (400): unknown model"}
+    assert (scored["source"], scored["chosen"]) == (second["source"], second["candidates"][0])
+    assert len(keep_alive.seen) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_score_writes_an_error_record_for_a_bad_prompt_record(cli_graph, tmp_path):
+    g, flags = cli_graph
+    tasks = write_tasks(tmp_path, g, n=1, with_truth=False)
+    prompts = tmp_path / "prompts.ndjson"
+    assert main(flags + ["prompt", "--tasks", tasks, "--hops", "1", "--length-limit", "4",
+                         "--out", str(prompts)]) == 0
+    record = read_ndjson(str(prompts))[0]
+    bad = [{**record, "candidates": ["nobody", *record["candidates"][1:]]},
+           {**record, "text": "one line"}]
+    prompts.write_text("".join(json.dumps(r) + "\n" for r in [*bad, record]))
+    out = str(tmp_path / "choices.ndjson")
+    assert main(flags + ["score", "--prompts", str(prompts), "--backend", "fixed_index",
+                         "--out", out]) == 1
+    *failed, scored = read_ndjson(out)
+    assert [sorted(r) for r in failed] == [["error", "source"]] * 2
+    assert "nobody" in failed[0]["error"] and "candidate" in failed[1]["error"]
+    assert scored["chosen"] == record["candidates"][0]
+
+
 def test_predict_subcommand(cli_graph, tmp_path):
     g, flags = cli_graph
     tasks = write_tasks(tmp_path, g, with_truth=False)

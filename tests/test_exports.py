@@ -26,9 +26,9 @@ def test_lpnl_exports_exactly_what_its_layers_export():
     ]
     assert lpnl.__all__ == layer_names
     assert len(set(layer_names)) == len(layer_names)
-    from lpnl import EmptyNodeTextError, anchors_for
+    from lpnl import anchors_for, node_label
 
-    assert EmptyNodeTextError is lpnl.prompts.EmptyNodeTextError
+    assert node_label is lpnl.prompts.node_label
     assert anchors_for is lpnl.sampling.anchors_for
 
 

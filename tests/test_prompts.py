@@ -1,10 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 
-from lpnl.graph import EdgeType, HetGraph, NodeType
+from lpnl.graph import EdgeType, GraphFormatError, HetGraph, NodeType
 from lpnl.prompts import (
     BudgetUnsatisfiableError,
     PromptConfig,
@@ -242,14 +244,31 @@ def test_parse_prompt_rejects_short_text():
 
 
 def test_build_prompt_rejects_empty_text():
-    # load-time validation rejects empty text, so doctor an instance to
-    # exercise the renderer's own guard
-    from lpnl.prompts import EmptyNodeTextError
+    # the graph refuses a node whose text normalizes to nothing, so no graph
+    # that build_prompt is given holds one
+    with pytest.raises(GraphFormatError, match="'p0' has empty text"):
+        HetGraph([NodeType("paper", 0, "PA")], [], [("p0", "paper", " \n\t ")], [])
 
-    g, anchors = academic_fixture()
-    g._texts[g.id_of("p0")] = ""
-    with pytest.raises(EmptyNodeTextError):
-        build_prompt(g.id_of("p0"), "authored_by", [g.id_of("a2")], anchors, g, PromptConfig())
+
+@pytest.mark.parametrize("names", [("0", "1"), ("a", "A"), ("a", "A", "aa")])
+def test_every_alias_in_a_prompt_names_one_node(names):
+    # ten same-typed anchors push the source's type to alias 11, which a
+    # prefix ending in a digit (type "1" as "n1") could also reach
+    source_type, target_type = names[0], names[1]
+    node_types = [NodeType(name, i, f"T{i}") for i, name in enumerate(names)]
+    nodes = [(f"s{i}", source_type, f"source side {i}") for i in range(11)]
+    nodes += [(f"t{i}", target_type, f"target side {i}") for i in range(2)]
+    g = HetGraph(node_types, [EdgeType("rel", source_type, target_type)], nodes, [])
+    source, candidates = g.id_of("s0"), [g.id_of("t0"), g.id_of("t1")]
+    anchors = {v: AnchorList(v, ()) for v in candidates}
+    anchors[source] = AnchorList(source, tuple((g.id_of(f"s{i}"), 1.0) for i in range(1, 11)))
+    bundle = build_prompt(source, "rel", candidates, anchors, g, PromptConfig())
+    parsed = parse_prompt(bundle.text)
+    aliases = re.findall(r"([a-z]+[0-9]+): ", parsed.source_segment)
+    aliases += bundle.candidate_aliases
+    assert len(aliases) == 13 and len(set(aliases)) == 13
+    assert all(re.fullmatch("[a-z]+[0-9]+", alias) for alias in aliases)
+    assert parsed.question.endswith(f"{aliases[0]} by 'rel'?")
 
 
 def test_prompt_config_validation():

@@ -772,14 +772,14 @@ def test_http_send_then_score_reads_one_request_and_looks_up_once(keep_alive, tm
     monkeypatch.setattr(ResponseCache, "lookup", counting)
     bundle, _ = two_bundles()
     scorer = make_scorer(http_cfg(keep_alive.url, cache_path=str(tmp_path / "c.jsonl")))
-    scorer.send(bundle)
+    sent = scorer.send(bundle)
     assert not slots_free(scorer)  # held until the answer is read
-    first = scorer.score(bundle)
+    first = scorer.score(sent)
     assert (first.chosen, first.resolution) == (bundle.candidate_order[0], "alias_match")
     assert len(keep_alive.seen) == 1 and len(lookups) == 1 and slots_free(scorer)
-    scorer.send(bundle)  # a cache hit: nothing goes out
+    sent = scorer.send(bundle)  # a cache hit: nothing goes out
     assert slots_free(scorer)
-    assert scorer.score(bundle) == first
+    assert scorer.score(sent) == first
     assert len(keep_alive.seen) == 1 and len(lookups) == 2
     assert keep_alive.connections == 1
     scorer.close()
@@ -809,7 +809,7 @@ def test_http_sent_request_keeps_the_status_rules(keep_alive, sent_first, replie
     bundle, _ = two_bundles()
     scorer = make_scorer(http_cfg(keep_alive.url, max_retries=3, max_in_flight=1))
     if sent_first:
-        scorer.send(bundle)
+        bundle = scorer.send(bundle)
     if error is None:
         assert scorer.score(bundle).chosen == bundle.candidate_order[0]
     else:
@@ -835,7 +835,7 @@ def test_http_failure_while_sending_is_the_first_attempt(keep_alive, monkeypatch
         return real_write(prompt)
 
     monkeypatch.setattr(scorer, "_write", reset_once)
-    scorer.send(bundle)
+    bundle = scorer.send(bundle)
     assert slots_free(scorer)
     if attempts == 1:
         with pytest.raises(TransportError, match="ConnectionResetError: reset while sending"):
@@ -847,46 +847,35 @@ def test_http_failure_while_sending_is_the_first_attempt(keep_alive, monkeypatch
     scorer.close()
 
 
-def test_http_scoring_another_prompt_closes_the_unread_request(keep_alive, tmp_path):
+def test_http_sent_bundles_are_read_in_any_order_on_one_thread(keep_alive):
     bundle, other = two_bundles()
-    scorer = make_scorer(http_cfg(keep_alive.url, max_in_flight=1,
-                                  cache_path=str(tmp_path / "c.jsonl")))
+    scorer = make_scorer(http_cfg(keep_alive.url, max_in_flight=2))
 
-    def send_then_score_other():
-        seen = len(keep_alive.seen)
-        scorer.send(bundle)
-        # the endpoint logs requests from its connection threads in whatever
-        # order they run: let it log this one before another connection opens
-        while len(keep_alive.seen) == seen:
-            time.sleep(0.001)
-        # with one slot, this would wait forever on the slot bundle's request holds
-        return scorer.score(other)
+    def send_both_then_score_in_reverse():
+        sent_bundle = scorer.send(bundle)
+        sent_other = scorer.send(other)
+        assert not slots_free(scorer)
+        return scorer.score(sent_other), scorer.score(sent_bundle)
 
-    assert finishes(send_then_score_other).chosen == other.candidate_order[0]
-    assert keep_alive.dropped.acquire(timeout=5)  # the sent request's connection closed
-    assert finishes(send_then_score_other).chosen == other.candidate_order[0]  # a cache hit
+    answer_other, answer_bundle = finishes(send_both_then_score_in_reverse)
+    assert answer_other.chosen == other.candidate_order[0]
+    assert answer_bundle.chosen == bundle.candidate_order[0]
+    assert sorted(body["prompt"] for _, _, body in keep_alive.seen) == sorted(
+        [bundle.text, other.text])
     assert slots_free(scorer)
-
-    def send_twice():
-        scorer.send(other)  # a hit: holds nothing
-        scorer.send(bundle)
-        scorer.send(bundle)  # closes the first of the two, unread
-        return scorer.score(bundle)
-
-    assert finishes(send_twice).chosen == bundle.candidate_order[0]
-    assert slots_free(scorer)
-    prompts = [body["prompt"] for _, _, body in keep_alive.seen]
-    assert prompts[0] == bundle.text and prompts[-1] == bundle.text
     scorer.close()
 
 
-def test_close_frees_the_slot_of_a_request_never_read(keep_alive):
-    bundle, other = two_bundles()
+def test_http_sent_bundle_scored_again_starts_a_fresh_request(keep_alive):
+    bundle, _ = two_bundles()
     scorer = make_scorer(http_cfg(keep_alive.url, max_in_flight=1))
-    scorer.send(bundle)
-    scorer.close()
-    # another thread: only close can free the slot this thread's request holds
-    assert finishes(lambda: scorer.score(other)).chosen == other.candidate_order[0]
+    sent = scorer.send(bundle)
+    first = scorer.score(sent)
+    # its request was read: a second score starts one of its own, as a plain bundle does
+    again = finishes(lambda: scorer.score(sent))
+    assert again == first == scorer.score(bundle)
+    assert [body["prompt"] for _, _, body in keep_alive.seen] == [bundle.text] * 3
+    assert slots_free(scorer)
     scorer.close()
 
 

@@ -547,7 +547,6 @@ def test_aborted_run_is_the_same_sent_ahead_or_scored_directly(keep_alive, monke
         backend = http_backend(keep_alive.url, max_in_flight=width, max_retries=3)
         with pytest.raises(PredictionAborted, match=r"request rejected \(400\)") as excinfo:
             predict(g, source, "authored_by", candidates, FAST_SAMPLER, PROMPT, backend, dnc)
-        assert backend._sent == {}
         for _ in range(width):
             assert backend._gate.acquire(blocking=False)
         backend.close()
@@ -596,7 +595,6 @@ def test_threads_sharing_one_backend_keep_one_request_each(keep_alive):
     assert errors == [] and traces == [expected] * 18
     assert len(keep_alive.seen) == 18 * expected.scorer_calls
     assert keep_alive.in_flight_peak <= 3 and keep_alive.connections <= 3
-    assert backend._sent == {}
     for _ in range(3):
         assert backend._gate.acquire(blocking=False)
     backend.close()
