@@ -8,11 +8,15 @@ Node file: UTF-8, newline-delimited, tab-separated::
 
 ``text`` may contain any character except tab/newline; the escapes
 ``\\t``, ``\\n`` and ``\\\\`` are honoured, and any other backslash stays
-literal. Edge file::
+literal. A ``node_id`` may not hold a tab, a newline or a carriage return.
+Edge file::
 
     src_id<TAB>dst_id<TAB>edge_type_name
 
-Identical edge lines collapse to one stored edge.
+Identical edge lines collapse to one stored edge. Blank lines are skipped,
+and ``\\r\\n`` or ``\\r`` ends a line as ``\\n`` does. ``load_graph`` reads each
+file in blocks of lines and :class:`HetGraph` checks each block's records
+column-wise; an error names the file and line of the first bad record.
 
 Schema file: JSON with ``node_types`` (each ``{name, identifier_tag}``)
 and ``edge_types`` (each ``{name, source, target}``).
@@ -35,6 +39,7 @@ import logging
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,6 +63,8 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Malformed input file; carries the offending file and line number."""
+
+    _record: int | None = None  # a refused record's place in its batch, for load_graph
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
@@ -97,7 +104,13 @@ class EdgeType:
 _CONTROL_CHARS = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 # tab, newline and every other C0/C1 control character
 _ANY_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
-_WHITESPACE_RUN = re.compile(r"\s+")
+# what ends a TSV field or line, so a node key may not hold it
+_FIELD_BREAK = re.compile(r"[\t\n\r]")
+_BATCH = 1 << 12  # records HetGraph checks at a time, unless a file brings its blocks
+# characters of lines load_graph reads at a time: 64 KB blocks load no faster
+# and leave ~1 MB more of the heap behind
+_BLOCK = 1 << 14
+_NOT_TAB_OR_NEWLINE = bytes(set(range(256)) - set(b"\t\n"))
 
 
 def normalize_text(text: str) -> str:
@@ -106,8 +119,8 @@ def normalize_text(text: str) -> str:
     Node text is embedded verbatim in rendered prompts, so it must be a
     single clean line.
     """
-    text = _CONTROL_CHARS.sub("", text)
-    return _WHITESPACE_RUN.sub(" ", text).strip()
+    # str.split() and str.strip() use the same whitespace test as re's \s
+    return " ".join(_CONTROL_CHARS.sub("", text).split())
 
 
 def _check_schema_name(what: str, name: object) -> None:
@@ -195,52 +208,78 @@ class HetGraph:
         self.key_to_id: dict[str, int] = {}
         self._texts: list[str] = []
         self._type_of: list[NodeType] = []
-        self._nodes_of_type: dict[str, list[int]] = {name: [] for name in self.node_types}
-        for key, type_name, text in nodes:
-            if key in self.key_to_id:
-                raise GraphFormatError(f"duplicate node_id {key!r}")
-            nt = self.node_types.get(type_name)
-            if nt is None:
-                raise GraphFormatError(f"unknown node type {type_name!r} for node {key!r}")
-            clean = normalize_text(text)
-            if not clean:
-                raise GraphFormatError(f"node {key!r} has empty text after normalization")
-            self._nodes_of_type[type_name].append(len(self.keys))
-            self.key_to_id[key] = len(self.keys)
-            self.keys.append(key)
-            self._texts.append(clean)
-            self._type_of.append(nt)
+        position = {name: i for i, name in enumerate(self.node_types)}
+        type_ids = array("i")  # each node's type, as its position in the schema
+        for keys, type_names, texts in _batches(nodes):
+            self._add_nodes(keys, type_names, texts, position, type_ids)
+        type_of = np.asarray(type_ids)
+        self._nodes_of_type: dict[str, list[int]] = {
+            name: np.flatnonzero(type_of == i).tolist() for name, i in position.items()
+        }
 
         # position of each edge type in the schema; an entry's kind is twice it
         self._type_index: dict[str, int] = {name: i for i, name in enumerate(self.edge_types)}
-        sources, targets = array("i"), array("i")
-        source_kinds = array("b" if len(self.edge_types) <= 64 else "i")
-        for src_key, dst_key, t_name in edges:
-            et = self.edge_types.get(t_name)
-            if et is None:
-                raise GraphFormatError(f"unknown edge type {t_name!r}")
-            if src_key not in self.key_to_id:
-                raise GraphFormatError(f"edge endpoint {src_key!r} does not exist")
-            if dst_key not in self.key_to_id:
-                raise GraphFormatError(f"edge endpoint {dst_key!r} does not exist")
-            u = self.key_to_id[src_key]
-            v = self.key_to_id[dst_key]
-            if self._type_of[u].name != et.source_type or self._type_of[v].name != et.target_type:
-                raise GraphFormatError(
-                    f"edge ({src_key!r}, {dst_key!r}, {t_name!r}) violates its meta-relation "
-                    f"<{et.source_type}, {t_name}, {et.target_type}>"
-                )
-            sources.append(u)
-            targets.append(v)
-            source_kinds.append(2 * self._type_index[t_name])
+        # the node types that an edge of each type joins
+        ends = np.array([(position[et.source_type], position[et.target_type]) for et in edge_types],
+                        dtype=np.int32).reshape(-1, 2)
+        store = array("i"), array("i"), array("b" if len(self.edge_types) <= 64 else "i")
+        for srcs, dsts, t_names in _batches(edges):
+            self._add_edges(srcs, dsts, t_names, type_of, ends, store)
 
         self._indptr, self._neighbors, self._kinds = _undirected_csr(
-            len(self.keys), 2 * len(self.edge_types), sources, targets, source_kinds
+            len(self.keys), 2 * len(self.edge_types), *store
         )
         self._degree = np.diff(self._indptr)
 
         if _source:
             logger.info("loaded graph from %s: %s", _source, self.summary())
+
+    def _add_nodes(self, keys, type_names, texts, position: dict, type_ids: array) -> None:
+        """Check a batch of node records column-wise, then store it."""
+        n0, n = len(self.keys), len(keys)
+        types = list(map(position.get, type_names))
+        clean = list(map(normalize_text, texts))
+        broken = dup = n
+        if _FIELD_BREAK.search("".join(keys)):
+            broken = next(i for i, key in enumerate(keys) if _FIELD_BREAK.search(key))
+        if len(set(keys)) < n or not self.key_to_id.keys().isdisjoint(keys):
+            seen: set = set()
+            dup = next(i for i, key in enumerate(keys)
+                       if key in self.key_to_id or key in seen or seen.add(key))
+        _refuse_first([broken, dup, types.index(None) if None in types else n,
+                       clean.index("") if "" in clean else n], n, [
+            lambda at: f"node_id {keys[at]!r} must not hold a tab, a newline or a carriage return",
+            lambda at: f"duplicate node_id {keys[at]!r}",
+            lambda at: f"unknown node type {type_names[at]!r} for node {keys[at]!r}",
+            lambda at: f"node {keys[at]!r} has empty text after normalization",
+        ])
+        self.key_to_id.update(zip(keys, range(n0, n0 + n)))
+        self.keys.extend(keys)
+        self._texts.extend(clean)
+        self._type_of.extend(map(list(self.node_types.values()).__getitem__, types))
+        type_ids.extend(types)
+
+    def _add_edges(self, srcs, dsts, t_names, type_of, ends, store: tuple) -> None:
+        """Check a batch of edge records column-wise, then append it to ``store``."""
+        kinds = list(map({name: 2 * i for name, i in self._type_index.items()}.get, t_names))
+        us = list(map(self.key_to_id.get, srcs))
+        vs = list(map(self.key_to_id.get, dsts))
+        failing = [col.index(None) if None in col else len(col) for col in (kinds, us, vs)]
+        cut = min(failing)  # the records before it have known types and endpoints
+        checked = array("i", us[:cut]), array("i", vs[:cut]), array(store[2].typecode, kinds[:cut])
+        u, v, k = map(np.asarray, checked)
+        wrong = (type_of[u] != ends[k >> 1, 0]) | (type_of[v] != ends[k >> 1, 1])
+        failing.append(int(wrong.argmax()) if wrong.any() else len(kinds))
+        _refuse_first(failing, len(kinds), [
+            lambda at: f"unknown edge type {t_names[at]!r}",
+            lambda at: f"edge endpoint {srcs[at]!r} does not exist",
+            lambda at: f"edge endpoint {dsts[at]!r} does not exist",
+            lambda at: f"edge ({srcs[at]!r}, {dsts[at]!r}, {t_names[at]!r}) violates its "
+            f"meta-relation <{self.edge_types[t_names[at]].source_type}, {t_names[at]}, "
+            f"{self.edge_types[t_names[at]].target_type}>",
+        ])
+        for column, batch in zip(store, checked):
+            column.extend(batch)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -470,22 +509,63 @@ def _read_schema(schema_path: str) -> tuple[list[NodeType], list[EdgeType]]:
     return node_types, edge_types
 
 
-def _read_tsv(path: str, n_fields: int, where: list) -> Iterator[list[str]]:
-    """Fields of each non-blank line; ``where`` is set to its file and line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise GraphFormatError(
-                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
-                    path=path,
-                    line=lineno,
-                )
-            where[:] = path, lineno
-            yield fields
+def _refuse_first(failing: list[int], n: int, messages: list) -> None:
+    """Raise the error of the first of ``n`` records to fail a check.
+
+    ``failing`` holds each check's first failing record (``n`` if none), in the
+    order a record meets the checks; ``messages`` each check's error, by record.
+    """
+    at = min(failing)
+    if at < n:
+        exc = GraphFormatError(messages[failing.index(at)](at))
+        exc._record = at
+        raise exc
+
+
+def _batches(records: Iterable) -> Iterator:
+    """The columns of ``records``, a batch at a time; a file brings its own blocks."""
+    if isinstance(records, _TsvBlocks):
+        return iter(records)
+    records = iter(records)
+    return (tuple(zip(*batch, strict=True))
+            for batch in iter(lambda: list(islice(records, _BATCH)), []))
+
+
+class _TsvBlocks:
+    """The three columns of a TSV file's records, a block of lines at a time.
+
+    Only the current block is held; its lines give the line number of a
+    record the graph refuses.
+    """
+
+    def __init__(self, path: str, escaped: bool = False):
+        self.path = path
+        self.escaped = escaped  # the third column holds escaped node text
+        self.lines: list[str] = []
+        self.first_line = 1  # the number of the block's first line
+
+    def __iter__(self) -> Iterator[tuple[list[str], list[str], list[str]]]:
+        with open(self.path, encoding="utf-8") as fh:
+            while lines := fh.readlines(_BLOCK):
+                self.first_line += len(self.lines)
+                self.lines = lines
+                records = [line for line in lines if line != "\n"] if "\n" in lines else lines
+                block, good = "".join(records), len(records)
+                # every line holds two tabs: tab, tab, newline repeat through the
+                # block, and a file's last line may lack its newline
+                seps = block.encode().translate(None, _NOT_TAB_OR_NEWLINE)
+                if seps != b"\t\t\n" * good and seps + b"\n" != b"\t\t\n" * good:
+                    good = next(i for i, line in enumerate(records) if line.count("\t") != 2)
+                # one split per block; the records before a malformed line are checked first
+                fields = block.replace("\n", "\t").split("\t")
+                del fields[3 * good:]
+                texts = fields[2::3]
+                if self.escaped:
+                    texts = [_unescape_field(text) if "\\" in text else text for text in texts]
+                yield fields[0::3], fields[1::3], texts
+                _refuse_first([good], len(records), [
+                    lambda at: "expected 3 tab-separated fields, got {}".format(
+                        records[at].count("\t") + 1)])
 
 
 def load_graph(node_file: str, edge_file: str, schema: str) -> HetGraph:
@@ -493,25 +573,24 @@ def load_graph(node_file: str, edge_file: str, schema: str) -> HetGraph:
 
     Raises :class:`GraphFormatError` on malformed records, unknown type
     names, dangling edge endpoints, or duplicate node ids; an error about
-    a record names its file and line, one about the schema its path.
-    Records stream into :class:`HetGraph`, which normalises each node's
-    text once.
+    a record names its file and line (blank lines count), one about the
+    schema its path. The first bad record in file order is reported, the
+    node file's before the edge file's. Each file is read in blocks of
+    lines of at most 16 KB, and :class:`HetGraph` checks each block
+    column-wise and normalises each node's text once.
     """
     node_types, edge_types = _read_schema(schema)
-    where: list = [None, None]  # file and line of the record being added
-    nodes = (
-        (key, type_name, _unescape_field(text))
-        for key, type_name, text in _read_tsv(node_file, 3, where)
-    )
-    edges = _read_tsv(edge_file, 3, where)
+    nodes, edges = _TsvBlocks(node_file, escaped=True), _TsvBlocks(edge_file)
     try:
         return HetGraph(node_types, edge_types, nodes, edges, _source=node_file)
     except GraphFormatError as exc:
-        if exc.path is not None:
-            raise
-        # before the first record is read, only the schema can be at fault
-        path, line = where if where[0] is not None else (schema, None)
-        raise GraphFormatError(str(exc), path=path, line=line) from exc
+        if exc._record is None:  # not about a record: the schema is at fault
+            raise GraphFormatError(str(exc), path=schema) from exc
+        # the edge file is read only once every node is in; blank lines count
+        blocks = edges if edges.lines else nodes
+        lines = (n for n, line in enumerate(blocks.lines, blocks.first_line) if line != "\n")
+        line = next(islice(lines, exc._record, None))
+        raise GraphFormatError(str(exc), path=blocks.path, line=line) from exc
 
 
 def save_graph(g: HetGraph, node_file: str, edge_file: str, schema_file: str) -> None:

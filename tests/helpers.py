@@ -10,14 +10,25 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import re
 import ssl
 import threading
 import time
+from array import array
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 
-from lpnl.graph import EdgeType, HetGraph, NodeType
+from lpnl.graph import (
+    EdgeType,
+    GraphFormatError,
+    HetGraph,
+    NodeType,
+    _read_schema,
+    _undirected_csr,
+    _unescape_field,
+)
 from lpnl.sampling import EgoSubgraph
 from lpnl.scoring import close_scorer, make_scorer
 
@@ -240,6 +251,104 @@ def simulate_first_pick_tournament(n: int, length_limit: int) -> int:
             start += size
         pool = [s[0] for s in sets]
     return pool[0]
+
+
+# -- the per-record graph loader ------------------------------------------------
+#
+# load_graph reads each file in blocks and checks the records column-wise. The
+# loader below is the one it replaced, frozen: a generator per line, and one
+# loop over the nodes and one over the edges that check a record at a time.
+# Every stored array, string and error of load_graph must equal its own.
+
+_REF_CONTROL_CHARS = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+_REF_WHITESPACE_RUN = re.compile(r"\s+")
+
+
+def reference_normalize_text(text: str) -> str:
+    """``normalize_text`` by its regex definition."""
+    return _REF_WHITESPACE_RUN.sub(" ", _REF_CONTROL_CHARS.sub("", text)).strip()
+
+
+def _reference_read_tsv(path: str, n_fields: int, where: list):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise GraphFormatError(
+                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                    path=path,
+                    line=lineno,
+                )
+            where[:] = path, lineno
+            yield fields
+
+
+def reference_graph(node_types, edge_types, nodes, edges) -> SimpleNamespace:
+    """What ``HetGraph`` stores for these records (valid schema assumed)."""
+    node_type = {nt.name: nt for nt in node_types}
+    edge_type = {et.name: et for et in edge_types}
+    g = SimpleNamespace(keys=[], key_to_id={}, _texts=[], _type_of=[])
+    g._nodes_of_type = {name: [] for name in node_type}
+    for key, type_name, text in nodes:
+        if key in g.key_to_id:
+            raise GraphFormatError(f"duplicate node_id {key!r}")
+        nt = node_type.get(type_name)
+        if nt is None:
+            raise GraphFormatError(f"unknown node type {type_name!r} for node {key!r}")
+        clean = reference_normalize_text(text)
+        if not clean:
+            raise GraphFormatError(f"node {key!r} has empty text after normalization")
+        g._nodes_of_type[type_name].append(len(g.keys))
+        g.key_to_id[key] = len(g.keys)
+        g.keys.append(key)
+        g._texts.append(clean)
+        g._type_of.append(nt)
+
+    type_index = {name: i for i, name in enumerate(edge_type)}
+    sources, targets = array("i"), array("i")
+    source_kinds = array("b" if len(edge_type) <= 64 else "i")
+    for src_key, dst_key, t_name in edges:
+        et = edge_type.get(t_name)
+        if et is None:
+            raise GraphFormatError(f"unknown edge type {t_name!r}")
+        if src_key not in g.key_to_id:
+            raise GraphFormatError(f"edge endpoint {src_key!r} does not exist")
+        if dst_key not in g.key_to_id:
+            raise GraphFormatError(f"edge endpoint {dst_key!r} does not exist")
+        u = g.key_to_id[src_key]
+        v = g.key_to_id[dst_key]
+        if g._type_of[u].name != et.source_type or g._type_of[v].name != et.target_type:
+            raise GraphFormatError(
+                f"edge ({src_key!r}, {dst_key!r}, {t_name!r}) violates its meta-relation "
+                f"<{et.source_type}, {t_name}, {et.target_type}>"
+            )
+        sources.append(u)
+        targets.append(v)
+        source_kinds.append(2 * type_index[t_name])
+    g._indptr, g._neighbors, g._kinds = _undirected_csr(
+        len(g.keys), 2 * len(edge_type), sources, targets, source_kinds
+    )
+    return g
+
+
+def reference_load_graph(node_file: str, edge_file: str, schema: str) -> SimpleNamespace:
+    """What ``load_graph`` stores for these files, or the error it raises."""
+    node_types, edge_types = _read_schema(schema)
+    where: list = [None, None]
+    nodes = (
+        (key, type_name, _unescape_field(text))
+        for key, type_name, text in _reference_read_tsv(node_file, 3, where)
+    )
+    edges = _reference_read_tsv(edge_file, 3, where)
+    try:
+        return reference_graph(node_types, edge_types, nodes, edges)
+    except GraphFormatError as exc:
+        if exc.path is not None:
+            raise
+        raise GraphFormatError(str(exc), path=where[0], line=where[1]) from exc
 
 
 # -- completion endpoint ----------------------------------------------------------
