@@ -23,6 +23,7 @@ import logging
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
@@ -177,10 +178,15 @@ def run_benchmark(
     ground truth when no truth pairs were supplied.
 
     All tasks share one backend instance, closed when the run ends. Against
-    ``http_llm``, which waits on I/O, one thread pool per call fans tasks
-    out to ``max_in_flight`` workers; the CPU-bound offline backends ignore
-    it and run inline.
-    Results are reduced in task order, so reports stay reproducible.
+    ``http_llm``, which waits on I/O, ``max_in_flight`` workers (one thread
+    pool per call) each run one loop: take the next task, predict it, store
+    its outcome, all while holding the scorer's turn
+    (:meth:`~lpnl.scoring.HttpLlmScorer.turn`). A worker so computes alone
+    and hands over only while it waits on the network: a run whose prompts
+    all hit the cache runs at inline speed, and a cold one still keeps
+    ``max_in_flight`` requests in flight. The CPU-bound offline backends
+    ignore ``max_in_flight`` and run the same loop inline.
+    Outcomes are stored at their job's index, so reports stay reproducible.
     """
     sampler_cfg = sampler_cfg or SamplerConfig()
     prompt_cfg = prompt_cfg or PromptConfig()
@@ -249,15 +255,25 @@ def run_benchmark(
         seeded_sampler = sampler_cfg.with_seed(seed)
         for task_index in range(len(tasks)):
             jobs.append((seed, task_index, seeded_sampler))
+    outcomes: list[tuple[dict | None, dict | None]] = [(None, None)] * len(jobs)
+    pending = enumerate(jobs)  # one iterator that every worker takes jobs from
+    turn = getattr(scorer, "turn", nullcontext)
+
+    def work() -> None:
+        with turn():
+            for index, job in pending:
+                outcomes[index] = run_task(job)
+
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_task, jobs))
+                for done in [pool.submit(work) for _ in range(workers)]:
+                    done.result()
         else:
-            outcomes = [run_task(job) for job in jobs]
+            work()
     finally:
         close_scorer(scorer)
-    # outcomes arrive in job order, so reports stay byte-identical across runs
+    # outcomes sit at their job's index, so reports stay byte-identical across runs
     report = MetricReport(
         rows=tuple(row for row, _ in outcomes if row is not None),
         seeds=seeds,

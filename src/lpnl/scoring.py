@@ -29,6 +29,8 @@ rungs, falls back to the first candidate with ``resolution="fallback"``.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import http.client
 import json
@@ -153,6 +155,14 @@ def _overlaps(text: str, segments: tuple[str, ...]) -> list[int]:
     return [len(grams & _trigrams(segment)) for segment in segments]
 
 
+def _substring_overlaps(text: str, segments: tuple[str, ...]) -> list[int]:
+    """:func:`_overlaps`, counted as ``text``'s distinct trigrams found in each
+    lowercased segment: cheaper when ``text`` is short and the segments long."""
+    t = text.lower()
+    grams = {t[i : i + 3] for i in range(len(t) - 2)}
+    return [sum(gram in segment for gram in grams) for segment in map(str.lower, segments)]
+
+
 def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
     """Map free-text model output to one candidate of the bundle.
 
@@ -181,7 +191,7 @@ def resolve_output(raw: str, bundle: PromptBundle) -> tuple[int, str]:
             if lowered.startswith(core) or (len(lowered) >= 4 and core.startswith(lowered)):
                 return candidates[i], RESOLUTION_EXACT
 
-    overlaps = _overlaps(normalized, parse_prompt(bundle.text).candidate_segments)
+    overlaps = _substring_overlaps(normalized, parse_prompt(bundle.text).candidate_segments)
     best = max(overlaps)
     if best > 0:
         return candidates[overlaps.index(best)], RESOLUTION_FUZZY
@@ -211,8 +221,11 @@ class ResponseCache:
     with a warning.
 
     The first :meth:`store` opens one unbuffered append handle, kept until
-    :meth:`close`, and ends a last line that a crash left without its
-    newline; each record then goes out in one write.
+    :meth:`close`. Each store then takes an exclusive ``flock`` on it, ends
+    a last line that a crash left without its newline, and writes its
+    record in one call. Under the lock no writer in another process reads
+    the file's end while a record is half written (Linux grows a file a
+    page at a time) and takes that record's middle for a torn line.
     """
 
     def __init__(self, path: str):
@@ -257,23 +270,16 @@ class ResponseCache:
         with self._lock:
             self._entries[key] = record
             if self._fh is None:
-                self._fh = self._open_for_append()
-            self._fh.write(line)
-
-    def _open_for_append(self):
-        """An unbuffered append handle; ends a last line a crash left unterminated,
-        which the next record would otherwise join."""
-        fh = open(self.path, "a+b", buffering=0)
-        try:
-            size = fh.seek(0, os.SEEK_END)
-            if size:
-                fh.seek(size - 1)
-                if fh.read(1) != b"\n":
-                    fh.write(b"\n")
-        except BaseException:
-            fh.close()
-            raise
-        return fh
+                self._fh = open(self.path, "a+b", buffering=0)
+            fcntl.flock(self._fh, fcntl.LOCK_EX)
+            try:
+                # a last line that a crash left unterminated must not join this record
+                size = self._fh.seek(0, os.SEEK_END)
+                if size and os.pread(self._fh.fileno(), 1, size - 1) != b"\n":
+                    self._fh.write(b"\n")
+                self._fh.write(line)
+            finally:
+                fcntl.flock(self._fh, fcntl.LOCK_UN)
 
     def close(self) -> None:
         """Close the append handle; a later :meth:`store` opens it again."""
@@ -404,6 +410,15 @@ class HttpLlmScorer:
     Fresh and cached answers alike go through :func:`resolve_output`.
     Answers that resolve only by ``fallback`` are not cached, so a later
     call asks the model again.
+
+    Threads that share the scorer can take turns (:meth:`turn`): the
+    holder of the turn computes alone and lets go of it only while it waits
+    on the network, that is while it takes a gate slot, connects and sends,
+    reads a response, or sleeps before a retry. Concurrent CPU work gains
+    nothing under the GIL and only slows every thread; so when each prompt
+    hits the cache one thread runs while the others wait, and when each
+    misses, the requests of ``max_in_flight`` threads still overlap. A
+    thread that does not hold the turn never waits for it.
     """
 
     def __init__(self, cfg: ScorerBackendConfig):
@@ -411,6 +426,8 @@ class HttpLlmScorer:
         self.max_in_flight = cfg.max_in_flight
         self.cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
         self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self._turn = threading.Lock()
+        self._turn_holder: int | None = None  # the thread id that holds _turn
         url = urlsplit(cfg.endpoint_url)
         self._address = (url.hostname, url.port)
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
@@ -428,6 +445,35 @@ class HttpLlmScorer:
                     "environment variable %s is not set; calling without credentials",
                     cfg.api_key_env_var,
                 )
+
+    @contextlib.contextmanager
+    def turn(self):
+        """Hold the turn for the ``with`` block, waiting until it is free.
+
+        Inside, the calling thread runs while every other holder-to-be
+        waits, except while it waits on the network: then it gives the turn
+        up and takes it back before it goes on. Not reentrant.
+        """
+        with self._turn:
+            self._turn_holder = threading.get_ident()
+            try:
+                yield
+            finally:
+                self._turn_holder = None
+
+    @contextlib.contextmanager
+    def _waiting(self):
+        """Give the turn up for the ``with`` block if this thread holds it."""
+        if self._turn_holder != threading.get_ident():
+            yield
+            return
+        self._turn_holder = None
+        self._turn.release()
+        try:
+            yield
+        finally:
+            self._turn.acquire()
+            self._turn_holder = threading.get_ident()
 
     def send(self, bundle: PromptBundle) -> PromptBundle:
         """Start ``bundle``'s request and return the bundle to score in its place.
@@ -464,15 +510,16 @@ class HttpLlmScorer:
     def _post(self, started: _Started) -> None:
         """Write ``started``'s request under a gate slot; a transport failure frees it."""
         started.conn = started.error = None
-        self._gate.acquire()
-        try:
-            started.conn = self._write(started.prompt)
-        except _TRANSPORT_ERRORS as exc:
-            self._gate.release()
-            started.error = exc
-        except BaseException:
-            self._gate.release()
-            raise
+        with self._waiting():
+            self._gate.acquire()
+            try:
+                started.conn = self._write(started.prompt)
+            except _TRANSPORT_ERRORS as exc:
+                self._gate.release()
+                started.error = exc
+            except BaseException:
+                self._gate.release()
+                raise
 
     def _complete(self, started: _Started) -> str:
         """The model's answer to a started miss; each attempt reads one write."""
@@ -507,7 +554,9 @@ class HttpLlmScorer:
                     raise ScorerError(f"request rejected ({status}): {_snippet(body)}")
             if attempt < self.cfg.max_retries - 1:
                 # jittered, so workers that met the same 429 do not retry in lockstep
-                time.sleep(max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after))
+                delay = max(self.cfg.backoff * 2**attempt * random.uniform(0.5, 1.0), retry_after)
+                with self._waiting():
+                    time.sleep(delay)
         raise last_error or TransportError("remote completion failed")
 
     def _write(self, prompt_text: str) -> http.client.HTTPConnection:
@@ -537,8 +586,9 @@ class HttpLlmScorer:
             raise started.error  # writing failed, and freed the slot then
         conn = started.conn
         try:
-            resp = conn.getresponse()
-            body = resp.read()
+            with self._waiting():
+                resp = conn.getresponse()
+                body = resp.read()
             if resp.will_close:
                 conn.close()
             else:

@@ -14,7 +14,9 @@ A task keeps at most one scorer request in flight, one request ahead:
 against a backend that can ``send`` (``http_llm``), set k+1 is built while
 set k's request is at the model, held by the bundle ``send`` returned.
 Sets are still sent and scored in order; concurrency across tasks belongs
-to the caller (:func:`lpnl.evaluation.run_benchmark` fans whole tasks out).
+to the caller (:func:`lpnl.evaluation.run_benchmark` fans whole tasks out,
+to workers that take turns on the scorer: one computes at a time, and hands
+over only while the scorer waits on the network).
 
 A full ranking of the original pool is derived from elimination order:
 the later a candidate is eliminated, the better its rank; ties within a
@@ -185,7 +187,10 @@ def predict(
 
     ``scorer`` is a built backend (:func:`~lpnl.scoring.make_scorer`), so
     many predictions can share one connection pool, cache and in-flight
-    ceiling; its caller closes it.
+    ceiling; its caller closes it. A caller that holds the scorer's
+    :meth:`~lpnl.scoring.HttpLlmScorer.turn` keeps it for the whole call,
+    except while the scorer waits on the network; ``predict`` itself never
+    takes it.
     """
     candidates = [int(c) for c in candidates]
     relation = _check_task(g, source, relation, candidates)

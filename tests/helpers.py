@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from lpnl.evaluation import EvalTask
 from lpnl.graph import (
     EdgeType,
     GraphFormatError,
@@ -174,6 +175,34 @@ def authorship_graph(
             edges.append((f"p{p}", f"a{a}", "authored_by"))
         edges.append((f"p{p}", f"f{int(rng.integers(n_fields))}", "about"))
     return HetGraph(node_types, edge_types, nodes, edges)
+
+
+def make_tasks(g, n_tasks: int, n_candidates: int, seed: int) -> list[EvalTask]:
+    """``n_tasks`` authorship tasks on ``g``: a true author among random decoys."""
+    rng = np.random.default_rng(seed)
+    edges = g.edges_of_type("authored_by")
+    authors = g.nodes_of_type("author")
+    picks = rng.choice(len(edges), size=n_tasks, replace=False)
+    tasks = []
+    for i in picks:
+        source, truth = edges[int(i)]
+        true_neighbors = set(g.neighbors(source, "authored_by"))
+        decoys = []
+        while len(decoys) < n_candidates - 1:
+            a = authors[int(rng.integers(len(authors)))]
+            if a not in true_neighbors and a not in decoys:
+                decoys.append(a)
+        candidates = decoys + [truth]
+        order = rng.permutation(len(candidates))
+        tasks.append(
+            EvalTask(
+                source_id=source,
+                relation="authored_by",
+                candidate_ids=tuple(candidates[int(j)] for j in order),
+                truth_id=truth,
+            )
+        )
+    return tasks
 
 
 def remove_edge_copy(g: HetGraph, u: int, v: int, t_name: str) -> HetGraph:
@@ -354,6 +383,11 @@ def reference_load_graph(node_file: str, edge_file: str, schema: str) -> SimpleN
 # -- completion endpoint ----------------------------------------------------------
 
 
+def first_alias(prompt: str) -> str:
+    """The alias of the prompt's first candidate, e.g. ``a1``."""
+    return prompt.split("\n")[2].split(": ", 1)[0]
+
+
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 answers on kept-alive connections, each in one write."""
 
@@ -375,9 +409,7 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             # before the answer leaves: a client waiting for it sends later
             server.log.append((arrived, time.perf_counter(), body["prompt"]))
         if reply is None:
-            # the first candidate's alias, e.g. "a1"
-            lines = body["prompt"].split("\n")
-            reply = (200, json.dumps({"text": lines[2].split(": ", 1)[0]}).encode(), {})
+            reply = (200, json.dumps({"text": server.answer(body["prompt"])}).encode(), {})
         status, payload, headers = reply
         self.send_response(status)
         for name, value in headers.items():
@@ -397,10 +429,11 @@ class KeepAliveEndpoint(ThreadingHTTPServer):
 
     ``connections`` counts accepted connections and ``seen`` holds each
     request's (path, headers, JSON body). Answers come from ``replies``,
-    (status, body bytes, headers) taken in order, then name the prompt's
-    first candidate by alias. With ``drop_after_reply`` each connection is
-    closed after its answer, without a ``Connection: close`` header, and
-    ``dropped`` is released once it is. Given ``tls``, it speaks HTTPS.
+    (status, body bytes, headers) taken in order, then are
+    ``answer(prompt)``: by default the prompt's first candidate by alias.
+    With ``drop_after_reply`` each connection is closed after its answer,
+    without a ``Connection: close`` header, and ``dropped`` is released
+    once it is. Given ``tls``, it speaks HTTPS.
     Each answer waits ``latency`` seconds; ``log`` holds each request's
     (arrival, answer, prompt) on ``time.perf_counter``, and
     ``in_flight_peak`` the most requests it held at once.
@@ -417,6 +450,7 @@ class KeepAliveEndpoint(ThreadingHTTPServer):
         self.seen: list = []
         self.replies: list = []
         self.drop_after_reply = False
+        self.answer = first_alias
         self.latency = 0.0
         self.log: list[tuple[float, float, str]] = []
         self.in_flight = self.in_flight_peak = 0

@@ -11,6 +11,7 @@ import pytest
 
 import helpers
 import lpnl.evaluation
+from helpers import make_tasks
 from lpnl.evaluation import (
     EvalTask,
     metric_hits1,
@@ -25,33 +26,6 @@ from lpnl.tournament import DncConfig
 
 FAST = SamplerConfig(hops=1, layer_budget=3, anchor_k=3, rng_seed=0)
 PROMPT = PromptConfig()
-
-
-def make_tasks(g, n_tasks: int, n_candidates: int, seed: int) -> list[EvalTask]:
-    rng = np.random.default_rng(seed)
-    edges = g.edges_of_type("authored_by")
-    authors = g.nodes_of_type("author")
-    picks = rng.choice(len(edges), size=n_tasks, replace=False)
-    tasks = []
-    for i in picks:
-        source, truth = edges[int(i)]
-        true_neighbors = set(g.neighbors(source, "authored_by"))
-        decoys = []
-        while len(decoys) < n_candidates - 1:
-            a = authors[int(rng.integers(len(authors)))]
-            if a not in true_neighbors and a not in decoys:
-                decoys.append(a)
-        candidates = decoys + [truth]
-        order = rng.permutation(len(candidates))
-        tasks.append(
-            EvalTask(
-                source_id=source,
-                relation="authored_by",
-                candidate_ids=tuple(candidates[int(j)] for j in order),
-                truth_id=truth,
-            )
-        )
-    return tasks
 
 
 # -- metric functions ----------------------------------------------------------
